@@ -7,13 +7,12 @@ the stop-lemma list.
 
 from __future__ import annotations
 
-import json
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .lemma import LemmaLexicon, lemmatize_phrase
+from .normalize import read_records, write_json
 
 UNTRANSLATABLE_MARK = "!"
 
@@ -49,35 +48,21 @@ class CoverageReport:
 
 def load_mapping(path: str | Path) -> TranslationMapping:
     """TSV: ``external<TAB>hindi1[,hindi2,...]`` or ``external<TAB>!``."""
-    path = Path(path)
     pairs: dict[str, tuple[str, ...]] = {}
     untranslatable: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise MappingError(f"{path}:{lineno}: expected 'external<TAB>targets', got {line!r}")
-            external = parts[0]
-            if parts[1] == UNTRANSLATABLE_MARK:
-                if external in pairs:
-                    raise MappingError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
-                untranslatable.add(external)
-                continue
-            targets = tuple(
-                unicodedata.normalize("NFC", t.strip())
-                for t in parts[1].split(",")
-                if t.strip()
-            )
-            if not targets:
-                raise MappingError(f"{path}:{lineno}: no targets for {external!r}")
-            if external in untranslatable:
+    for lineno, (external, targets) in read_records(path, 2, MappingError):
+        if targets == UNTRANSLATABLE_MARK:
+            if external in pairs:
                 raise MappingError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
-            if external in pairs and pairs[external] != targets:
-                raise MappingError(f"{path}:{lineno}: conflicting targets for {external!r}")
-            pairs[external] = targets
+            untranslatable.add(external)
+            continue
+        forms = tuple(t.strip() for t in targets.split(",") if t.strip())
+        if not forms:
+            raise MappingError(f"{path}:{lineno}: no targets for {external!r}")
+        if external in untranslatable:
+            raise MappingError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
+        if pairs.setdefault(external, forms) != forms:
+            raise MappingError(f"{path}:{lineno}: conflicting targets for {external!r}")
     return TranslationMapping(pairs=pairs, untranslatable=frozenset(untranslatable))
 
 
@@ -114,9 +99,7 @@ def write_coverage_json(report: CoverageReport, path: str | Path) -> None:
         "misses": sorted(report.misses),
         "coverage_ratio": report.coverage_ratio,
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def format_summary(report: CoverageReport) -> str:

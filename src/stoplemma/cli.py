@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import assess as assess_mod
@@ -24,40 +25,50 @@ from . import freq as freq_mod
 from . import induce as induce_mod
 from . import lemma as lemma_mod
 from . import stats as stats_mod
-from .normalize import FilterPolicy
+from .normalize import FilterPolicy, write_json
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_COMPUTE_ERROR = 2
 
-_INPUT_ERRORS = (
-    corpus_mod.CorpusError,
-    lemma_mod.LexiconError,
-    induce_mod.InductionError,
-    assess_mod.MappingError,
-    FileNotFoundError,
-    ValueError,
-)
+# every loader's own error class (CorpusError, LexiconError, ...) is a ValueError
+_INPUT_ERRORS = (FileNotFoundError, ValueError)
+
+# options each subcommand needs, from a flag or the config file, besides --out
+_REQUIRED = {
+    "freq": ("corpus",),
+    "induce": ("stoplist", "corpus"),
+    "overlap": ("ranked",),
+    "posstats": ("ranked", "pos_lexicon"),
+    "assess": ("mapping", "list"),
+}
 
 
 class InputSpecError(ValueError):
     pass
 
 
-def _require_args(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n, None) in (None, [])]
+class ComputeError(Exception):
+    """Valid inputs whose result is undefined."""
+
+
+def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
+    pairs = []
+    for spec in specs:
+        ident, _, path = spec.partition("=")
+        if not ident or not path:
+            raise InputSpecError(f"{label} must look like ID=PATH, got {spec!r}")
+        pairs.append((ident, path))
+    return pairs
+
+
+def _existing(*paths: str | None) -> list[str]:
+    """The given input paths, leaving out unset optional ones; all must exist."""
+    inputs = [p for p in paths if p]
+    missing = [p for p in inputs if not Path(p).exists()]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise InputSpecError(f"missing required option(s): {flags} (flag or config file)")
-
-
-def _parse_id_path(spec: str, label: str) -> tuple[str, str]:
-    if "=" not in spec:
-        raise InputSpecError(f"{label} must look like ID=PATH, got {spec!r}")
-    ident, path = spec.split("=", 1)
-    if not ident or not path:
-        raise InputSpecError(f"{label} must look like ID=PATH, got {spec!r}")
-    return ident, path
+        raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
+    return inputs
 
 
 def _sha256(path: Path) -> str:
@@ -79,23 +90,6 @@ def _hash_tree(path: Path) -> str:
     return h.hexdigest()
 
 
-def _require_paths(paths: list[str]) -> None:
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
-
-
-def _write_provenance(outdir: Path, command: str, params: dict, inputs: list[str]) -> None:
-    block = {
-        "command": command,
-        "parameters": params,
-        "inputs": {p: _hash_tree(Path(p)) for p in sorted(set(inputs))},
-    }
-    with (outdir / "provenance.json").open("w", encoding="utf-8") as fh:
-        json.dump(block, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _policy_from_args(args) -> FilterPolicy:
     return FilterPolicy(
         drop_symbols=not args.keep_symbols,
@@ -111,45 +105,32 @@ def _load_lexicon_arg(args) -> lemma_mod.LemmaLexicon:
     return lemma_mod.EMPTY_LEXICON
 
 
-def _corpora_from_args(args) -> list[tuple[str, str]]:
-    return [_parse_id_path(spec, "--corpus") for spec in args.corpus]
+# Each cmd_* checks its inputs and computes; it returns the input paths and
+# a writer per output file name.  main() writes them and the provenance.
 
-
-def cmd_freq(args) -> int:
-    _require_args(args, ["corpus", "out"])
-    corpora = _corpora_from_args(args)
-    inputs = [path for _, path in corpora] + ([args.lexicon] if args.lexicon else [])
-    _require_paths(inputs)
+def cmd_freq(args) -> tuple[list[str], dict]:
+    corpora = _id_paths(args.corpus, "--corpus")
+    inputs = _existing(*(path for _, path in corpora), args.lexicon)
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
-    outdir = Path(args.out)
 
     tables = []
-    exports = []
+    outputs = {}
     for ident, path in corpora:
         source = corpus_mod.load_corpus(path, id=ident)
         words = freq_mod.count_words(source, policy)
         lemmas = freq_mod.lemma_table(words, lex)
         tables += [words, lemmas]
-        exports.append((ident, freq_mod.rank_items(words), freq_mod.rank_items(lemmas)))
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    for ident, ranked_words, ranked_lemmas in exports:
-        freq_mod.write_tsv(ranked_words, outdir / f"words_{ident}.tsv")
-        freq_mod.write_tsv(ranked_lemmas, outdir / f"lemmas_{ident}.tsv")
-    freq_mod.write_report(tables, outdir / "freq_report.json")
-    _write_provenance(outdir, "freq", _param_dict(args), inputs)
-    return EXIT_OK
+        outputs[f"words_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(words))
+        outputs[f"lemmas_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(lemmas))
+    outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
+    return inputs, outputs
 
 
-def cmd_induce(args) -> int:
-    _require_args(args, ["stoplist", "corpus", "out"])
-    stoplists = [_parse_id_path(s, "--stoplist") for s in args.stoplist]
-    corpora = _corpora_from_args(args)
-    inputs = [p for _, p in stoplists] + [p for _, p in corpora]
-    if args.lexicon:
-        inputs.append(args.lexicon)
-    _require_paths(inputs)
+def cmd_induce(args) -> tuple[list[str], dict]:
+    stoplists = _id_paths(args.stoplist, "--stoplist")
+    corpora = _id_paths(args.corpus, "--corpus")
+    inputs = _existing(*(p for _, p in stoplists + corpora), args.lexicon)
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
@@ -165,35 +146,19 @@ def cmd_induce(args) -> int:
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
     set_b = induce_mod.build_set_b(ranked, k=args.k_b)
     aggregate = induce_mod.aggregate_lemma_counts([t.counts for t in lemma_tables])
-    provenance = {
-        "stoplists": [i for i, _ in stoplists],
-        "corpora": [i for i, _ in corpora],
-        "k_a": args.k_a,
-        "k_b": args.k_b,
-        "lexicon": args.lexicon or "",
-    }
-    final = induce_mod.build_final_list(set_a, set_b, aggregate, provenance=provenance)
+    final = induce_mod.build_final_list(set_a, set_b, aggregate)
     report = induce_mod.induction_report(lists, set_a, set_b, final)
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    induce_mod.write_stoplemma_list(final, outdir / "stoplemmas.txt")
-    induce_mod.write_induction_report(report, outdir / "induction_report.json")
-    _write_provenance(outdir, "induce", _param_dict(args), inputs)
-    return EXIT_OK
+    return inputs, {
+        "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
+        "induction_report.json": partial(induce_mod.write_induction_report, report),
+    }
 
 
-def cmd_overlap(args) -> int:
-    _require_args(args, ["ranked", "out"])
-    ranked_specs = [_parse_id_path(s, "--ranked") for s in args.ranked]
-    inputs = [p for _, p in ranked_specs]
-    _require_paths(inputs)
+def cmd_overlap(args) -> tuple[list[str], dict]:
+    ranked_specs = _id_paths(args.ranked, "--ranked")
+    inputs = _existing(*(p for _, p in ranked_specs))
     lists = [freq_mod.read_ranked_tsv(path) for _, path in ranked_specs]
     report = stats_mod.top_k_overlap(lists, k=args.k, source_ids=[i for i, _ in ranked_specs])
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stats_mod.write_overlap_tsv(report, outdir / "overlap.tsv")
     summary = {
         "k": report.k,
         "source_count": report.source_count,
@@ -201,18 +166,15 @@ def cmd_overlap(args) -> int:
         "max_count": report.max_count,
         "short_sources": list(report.short_sources),
     }
-    with (outdir / "overlap_report.json").open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_provenance(outdir, "overlap", _param_dict(args), inputs)
-    return EXIT_OK
+    return inputs, {
+        "overlap.tsv": partial(stats_mod.write_overlap_tsv, report),
+        "overlap_report.json": partial(write_json, summary),
+    }
 
 
-def cmd_posstats(args) -> int:
-    _require_args(args, ["ranked", "pos_lexicon", "out"])
-    ranked_specs = [_parse_id_path(s, "--ranked") for s in args.ranked]
-    inputs = [p for _, p in ranked_specs] + [args.pos_lexicon]
-    _require_paths(inputs)
+def cmd_posstats(args) -> tuple[list[str], dict]:
+    ranked_specs = _id_paths(args.ranked, "--ranked")
+    inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
     lists = [freq_mod.read_ranked_tsv(path) for _, path in ranked_specs]
     pos_lex = stats_mod.load_pos_lexicon(args.pos_lexicon)
     report = stats_mod.pos_rank_analysis(
@@ -223,37 +185,27 @@ def cmd_posstats(args) -> int:
         use_frequency=args.use_frequency,
     )
     if all(s.mean_r is None for s in report.summaries):
-        print("error: correlation undefined for every (group, source) cell", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stats_mod.write_correlation_tsv(report, outdir / "posstats.tsv")
-    stats_mod.write_correlation_json(report, outdir / "posstats.json")
+        raise ComputeError("correlation undefined for every (group, source) cell")
     verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
                "threshold": args.threshold}
-    with (outdir / "hypothesis.json").open("w", encoding="utf-8") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_provenance(outdir, "posstats", _param_dict(args), inputs)
-    return EXIT_OK
+    return inputs, {
+        "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
+        "posstats.json": partial(stats_mod.write_correlation_json, report),
+        "hypothesis.json": partial(write_json, verdict),
+    }
 
 
-def cmd_assess(args) -> int:
-    _require_args(args, ["mapping", "list", "out"])
-    inputs = [args.mapping, args.list] + ([args.lexicon] if args.lexicon else [])
-    _require_paths(inputs)
+def cmd_assess(args) -> tuple[list[str], dict]:
+    inputs = _existing(args.mapping, args.list, args.lexicon)
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_reference_list(args.list))
     report = assess_mod.assess_coverage(mapping, lex, stop_lemmas)
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    assess_mod.write_coverage_json(report, outdir / "coverage.json")
-    (outdir / "coverage.txt").write_text(assess_mod.format_summary(report) + "\n", encoding="utf-8")
-    _write_provenance(outdir, "assess", _param_dict(args), inputs)
-    return EXIT_OK
+    summary = assess_mod.format_summary(report) + "\n"
+    return inputs, {
+        "coverage.json": partial(assess_mod.write_coverage_json, report),
+        "coverage.txt": lambda path: path.write_text(summary, encoding="utf-8"),
+    }
 
 
 def _param_dict(args) -> dict:
@@ -330,21 +282,42 @@ def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
             action.default = argparse.SUPPRESS
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config value as argparse converts the same option's flag."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(action, argparse._AppendAction):
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return value
+    elif isinstance(value, str) or (action.type in (int, float) and type(value) in (int, float)):
+        # via str(), so that 2.5 is no more an int than "2.5" is
+        try:
+            return action.type(str(value)) if action.type else value
+        except ValueError:
+            pass
+    raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {action.option_strings[0]}")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not args.config:
         return args
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InputSpecError(f"{args.config}: config must be a JSON object")
     # find which options were given explicitly: reparse with all defaults
     # suppressed, then let config fill only the rest (flags win)
     bare = build_parser()
     _suppress_defaults(bare)
     explicit = vars(bare.parse_args(argv))
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions if a.dest != "help"}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in explicit and hasattr(args, dest):
-            setattr(args, dest, value)
+        if dest not in explicit and dest in actions:
+            setattr(args, dest, _config_value(actions[dest], key, value))
     return args
 
 
@@ -352,10 +325,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, list(argv) if argv is not None else sys.argv[1:])
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
+        missing = [n for n in (*_REQUIRED[args.command], "out") if getattr(args, n) in (None, [])]
+        if missing:
+            flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+            raise InputSpecError(f"missing required option(s): {flags} (flag or config file)")
+        inputs, outputs = args.func(args)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(outdir / name)
+        write_json({
+            "command": args.command,
+            "parameters": _param_dict(args),
+            "inputs": {p: _hash_tree(Path(p)) for p in sorted(set(inputs))},
+        }, outdir / "provenance.json")
+        return EXIT_OK
+    except (ComputeError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_COMPUTE_ERROR if isinstance(exc, ComputeError) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

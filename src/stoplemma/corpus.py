@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 

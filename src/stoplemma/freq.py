@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -11,11 +11,12 @@ from typing import Iterable, Sequence
 
 from .corpus import CorpusSource, Document
 from .lemma import EMPTY_LEXICON, LemmaLexicon
-from .normalize import FilterPolicy, iter_filtered_surfaces
+from .normalize import FilterPolicy, read_records, scan_surfaces, token_kind, write_json
 
 # Large documents are scanned in slices so counting never materializes the
-# whole token stream; slice boundaries snap to whitespace to keep runs whole.
+# whole token stream; each slice ends at whitespace to keep runs whole.
 _CHUNK_CHARS = 1 << 22
+_SPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -42,38 +43,22 @@ class RankedList:
 
 
 def _iter_chunks(text: str) -> Iterable[str]:
-    if len(text) <= _CHUNK_CHARS:
-        yield text
-        return
     start = 0
     while start < len(text):
-        end = min(start + _CHUNK_CHARS, len(text))
-        if end < len(text):
-            # back up to the last whitespace so no token straddles the cut
-            cut = end
-            while cut > start and not text[cut - 1].isspace():
-                cut -= 1
-            if cut > start:
-                end = cut
+        space = _SPACE.search(text, start + _CHUNK_CHARS)
+        end = space.end() if space else len(text)
         yield text[start:end]
         start = end
 
 
 def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -> Counter:
-    # Count all word runs first, then filter per unique type: classification
-    # work scales with the vocabulary, not the token count.
-    from . import normalize as _n
-
+    # Count all token surfaces first, then filter per unique type:
+    # classification work scales with the vocabulary, not the token count.
     counts: Counter = Counter()
-    pattern = _n._WORD_RUN if policy.drop_symbols else _n._TOKEN
     for chunk in _iter_chunks(doc.raw_text):
-        counts.update(pattern.findall(unicodedata.normalize("NFC", chunk)))
+        counts.update(scan_surfaces(unicodedata.normalize("NFC", chunk), policy))
     for surface in list(counts):
-        if _n._WORD_RUN.fullmatch(surface):
-            kind = _n.classify(surface)
-        else:
-            kind = _n.TokenKind.SYMBOL
-        if not policy.keeps(kind):
+        if not policy.keeps(token_kind(surface)):
             del counts[surface]
     return counts
 
@@ -131,31 +116,21 @@ def write_tsv(ranked: RankedList, path: str | Path) -> None:
 
 def read_ranked_tsv(path: str | Path) -> RankedList:
     """Read an ``item<TAB>count`` file written in rank order."""
-    entries = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'item<TAB>count', got {line!r}")
-            entries.append((len(entries) + 1, parts[0], int(parts[1])))
-    return RankedList(entries=tuple(entries))
-
-
-def stats_row(table: FrequencyTable) -> dict:
-    """Per-source summary mirroring the corpus-metadata table columns."""
-    return {
-        "source_id": table.source_id,
-        "item_kind": table.item_kind,
-        "total_tokens": table.total_tokens,
-        "unique_count": table.unique_count,
-    }
+    records = read_records(path, 2)
+    return RankedList(entries=tuple(
+        (rank, item, int(count)) for rank, (_, (item, count)) in enumerate(records, start=1)
+    ))
 
 
 def write_report(tables: Sequence[FrequencyTable], path: str | Path) -> None:
-    report = [stats_row(t) for t in tables]
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Per-source summary mirroring the corpus-metadata table columns."""
+    report = [
+        {
+            "source_id": t.source_id,
+            "item_kind": t.item_kind,
+            "total_tokens": t.total_tokens,
+            "unique_count": t.unique_count,
+        }
+        for t in tables
+    ]
+    write_json(report, path)

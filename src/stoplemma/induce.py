@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .freq import RankedList, top_k
 from .lemma import LemmaLexicon, gen_lemma
+from .normalize import read_records, write_json
 
 DEFAULT_K = 100
 
@@ -48,24 +47,12 @@ class InductionReport:
 
 def load_stopword_list(path: str | Path, source_id: str) -> StopWordList:
     """One entry per line, ``#`` comments, in-file duplicates dropped."""
-    path = Path(path)
-    entries: list[str] = []
-    seen: set[str] = set()
-    duplicates = 0
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entry = unicodedata.normalize("NFC", " ".join(line.split()))
-            if entry in seen:
-                duplicates += 1
-                continue
-            seen.add(entry)
-            entries.append(entry)
+    records = list(read_records(path, 1, InductionError))
+    entries = dict.fromkeys(" ".join(entry.split()) for _, (entry,) in records)
     if not entries:
         raise InductionError(f"{path}: stop word list is empty")
-    return StopWordList(source_id=source_id, entries=tuple(entries), duplicates_removed=duplicates)
+    return StopWordList(source_id=source_id, entries=tuple(entries),
+                        duplicates_removed=len(records) - len(entries))
 
 
 def dedup_across_lists(lists: Sequence[StopWordList]) -> tuple[int, int]:
@@ -151,12 +138,9 @@ def write_stoplemma_list(final: StopLemmaList, path: str | Path) -> None:
 
 
 def write_induction_report(report: InductionReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(vars(report), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(vars(report), path)
 
 
 def load_reference_list(path: str | Path) -> list[str]:
     """Read a one-lemma-per-line reference list (e.g. the bundled 311-entry list)."""
-    with Path(path).open(encoding="utf-8") as fh:
-        return [unicodedata.normalize("NFC", line.strip()) for line in fh if line.strip()]
+    return [entry for _, (entry,) in read_records(path, 1, InductionError)]

@@ -7,10 +7,11 @@ fully deterministic.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from .normalize import read_records
 
 
 class LexiconError(ValueError):
@@ -38,31 +39,14 @@ def load_lexicon(path: str | Path) -> LemmaLexicon:
     ``#`` comments and blank lines are skipped.  A surface mapped to two
     different lemmas is an error; repeating an identical pair is not.
     """
-    path = Path(path)
     entries: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise LexiconError(f"{path}:{lineno}: expected 'surface<TAB>lemma', got {line!r}")
-            surface = unicodedata.normalize("NFC", parts[0])
-            lemma = unicodedata.normalize("NFC", parts[1])
-            if surface in entries and entries[surface] != lemma:
-                raise LexiconError(
-                    f"{path}:{lineno}: conflicting lemma for {surface!r}: "
-                    f"{entries[surface]!r} vs {lemma!r}"
-                )
-            entries[surface] = lemma
+    for lineno, (surface, lemma) in read_records(path, 2, LexiconError):
+        if entries.setdefault(surface, lemma) != lemma:
+            raise LexiconError(
+                f"{path}:{lineno}: conflicting lemma for {surface!r}: "
+                f"{entries[surface]!r} vs {lemma!r}"
+            )
     return LemmaLexicon(entries=entries)
-
-
-def lemmatize(word: str, lex: LemmaLexicon) -> str:
-    if not word:
-        raise ValueError("cannot lemmatize an empty word")
-    return lex.lemma_of(word)
 
 
 def lemmatize_phrase(phrase: str, lex: LemmaLexicon) -> str:

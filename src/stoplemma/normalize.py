@@ -2,15 +2,18 @@
 
 All downstream counting and lexicon lookup assumes NFC-normalized text, so
 normalization happens once, up front, and everything else operates on its
-output.
+output.  Record files (lexicons, lists, mappings, ranked tables) are read
+here too, by ``read_records``; ``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterator, Sequence
 
 DEVANAGARI_START = 0x0900
@@ -20,14 +23,12 @@ DOUBLE_DANDA = "॥"
 ZWNJ = "‌"
 ZWJ = "‍"
 
-# Maximal word runs: Latin letters, ASCII digits, the Devanagari block minus
-# the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.
-_WORD_RUN = re.compile(
-    r"[0-9A-Za-zऀ-ॣ०-ॿ‌‍]+"
-)
-_TOKEN = re.compile(
-    r"[0-9A-Za-zऀ-ॣ०-ॿ‌‍]+|\S"
-)
+# Word characters: Latin letters, ASCII digits, the Devanagari block minus
+# the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.  A
+# token is a maximal run of them or any other single non-space character.
+_WORD_CHARS = "0-9A-Za-zऀ-ॣ०-ॿ‌‍"
+_WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
+_TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
 _SENT_END = re.compile(r"[।॥?!.]")
 _HAS_LATIN_ALNUM = re.compile(r"[A-Za-z0-9]")
@@ -106,6 +107,20 @@ def classify(surface: str) -> TokenKind:
     return TokenKind.LATIN_WORD
 
 
+def token_kind(surface: str) -> TokenKind:
+    """Kind of one token surface: word runs are classified, the rest are symbols."""
+    return classify(surface) if _WORD_RUN.fullmatch(surface) else TokenKind.SYMBOL
+
+
+def scan_surfaces(text: str, policy: FilterPolicy = FilterPolicy()) -> list[str]:
+    """Token surfaces of normalized text, in order, unfiltered by kind.
+
+    Symbol tokens are left out when the policy drops them anyway; any other
+    kind is left for the caller to filter, once per distinct surface.
+    """
+    return (_WORD_RUN if policy.drop_symbols else _TOKEN).findall(text)
+
+
 def tokenize(text: str) -> list[Token]:
     """Split normalized text into word and symbol tokens.
 
@@ -113,15 +128,10 @@ def tokenize(text: str) -> list[Token]:
     Every non-space, non-word character becomes a single-character symbol
     token.
     """
-    out = []
-    for m in _TOKEN.finditer(text):
-        surface = m.group()
-        if _WORD_RUN.fullmatch(surface):
-            kind = classify(surface)
-        else:
-            kind = TokenKind.SYMBOL
-        out.append(Token(surface=surface, kind=kind, span=(m.start(), m.end())))
-    return out
+    return [
+        Token(m.group(), token_kind(m.group()), m.span())
+        for m in _TOKEN.finditer(text)
+    ]
 
 
 def split_sentences(text: str) -> list[Sentence]:
@@ -155,20 +165,29 @@ def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()
     return [t for t in tokens if policy.keeps(t.kind)]
 
 
-def iter_filtered_surfaces(raw: str, policy: FilterPolicy = FilterPolicy()) -> Iterator[str]:
-    """Fast path used by counting: normalized, filtered word surfaces only.
+def read_records(
+    path: str | Path, fields: int, error: type[Exception] = ValueError
+) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` for each record of a UTF-8, tab-separated line file.
 
-    Equivalent to normalize -> split -> tokenize -> filter on word surfaces
-    (symbol tokens never survive the default policy; sentence boundaries do
-    not affect token surfaces).
+    Lines are NFC-normalized and stripped.  Blank lines and ``#`` lines
+    without a tab are skipped; every other line must hold exactly ``fields``
+    non-empty fields, else ``error`` names ``path:lineno``.
     """
-    text = unicodedata.normalize("NFC", raw)
-    if policy.drop_symbols:
-        matches = _WORD_RUN.finditer(text)
-    else:
-        matches = _TOKEN.finditer(text)
-    for m in matches:
-        surface = m.group()
-        kind = classify(surface) if _WORD_RUN.fullmatch(surface) else TokenKind.SYMBOL
-        if policy.keeps(kind):
-            yield surface
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = unicodedata.normalize("NFC", line.strip())
+            if not line or (line.startswith("#") and "\t" not in line):
+                continue
+            parts = line.split("\t")
+            if len(parts) != fields or not all(parts):
+                raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
+                            f"field(s), got {line!r}")
+            yield lineno, parts
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, UTF-8, final newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import json
 import math
-import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from scipy import stats as _scipy_stats
 
 from .freq import RankedList, top_k
+from .normalize import read_records, write_json
 
 POS_TAGS = ("NN", "NNP", "NNPC", "PSP", "PRP", "SYM", "VM",
             "QC", "QF", "QO", "NEG", "CC", "other")
@@ -95,18 +94,7 @@ class CorrelationReport:
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    path = Path(path)
-    tags: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected 'item<TAB>tag', got {line!r}")
-            tags[unicodedata.normalize("NFC", parts[0])] = parts[1]
-    return PosLexicon(tags=tags)
+    return PosLexicon(tags={item: tag for _, (item, tag) in read_records(path, 2)})
 
 
 def top_k_overlap(lists: Sequence[RankedList], k: int, source_ids: Sequence[str] | None = None) -> OverlapReport:
@@ -267,6 +255,4 @@ def write_correlation_json(report: CorrelationReport, path: str | Path) -> None:
             for s in report.summaries
         ],
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

@@ -50,6 +50,27 @@ class TestFreqCommand:
         assert rc == 1
         assert not out.exists()
 
+    def test_ranked_tsvs_read_back(self, tmp_path, demo_args):
+        from stoplemma.corpus import load_corpus
+        from stoplemma.freq import count_words, lemma_table, rank_items, read_ranked_tsv
+        from stoplemma.lemma import load_lexicon
+        from stoplemma.normalize import FilterPolicy
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("# घर # है, #टैग abc # ।\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["freq", "--corpus", f"hash={corpus}", "--corpus", demo_args["corpus"],
+                    "--lexicon", demo_args["lexicon"], "--keep-symbols",
+                    "--keep-latin-words", "--out", out]) == 0
+        policy = FilterPolicy(drop_symbols=False, drop_latin_words=False)
+        lex = load_lexicon(demo_args["lexicon"])
+        for ident, root in [("hash", corpus), ("demo", data_path("demo_corpus"))]:
+            words = count_words(load_corpus(root, id=ident), policy)
+            assert read_ranked_tsv(out / f"words_{ident}.tsv") == rank_items(words)
+            assert read_ranked_tsv(out / f"lemmas_{ident}.tsv") == rank_items(lemma_table(words, lex))
+        assert "#\t4" in (out / "words_hash.tsv").read_text(encoding="utf-8").splitlines()
+
     def test_deterministic(self, tmp_path, demo_args):
         import shutil
 
@@ -122,6 +143,25 @@ class TestOverlapCommand:
         assert int(count) == 8
 
 
+def test_nfd_and_nfc_ranked_items_are_one_item(tmp_path):
+    # न + nukta (NFD) in one list, precomposed ऩ (NFC) in the other
+    (tmp_path / "a.tsv").write_text("न\u093cा\t5\nघर\t3\nहै\t1\n", encoding="utf-8")
+    (tmp_path / "b.tsv").write_text("\u0929ा\t4\nघर\t2\nथा\t1\n", encoding="utf-8")
+    (tmp_path / "pos.tsv").write_text("\u0929ा\tPSP\n", encoding="utf-8")
+    ranked = ["--ranked", f"a={tmp_path / 'a.tsv'}", "--ranked", f"b={tmp_path / 'b.tsv'}"]
+
+    assert run(["overlap", *ranked, "--k", "3", "--out", tmp_path / "overlap"]) == 0
+    rows = (tmp_path / "overlap" / "overlap.tsv").read_text(encoding="utf-8").splitlines()
+    assert "\u0929ा\t2" in rows
+    assert len(rows) == 4
+
+    assert run(["posstats", *ranked, "--pos-lexicon", tmp_path / "pos.tsv",
+                "--out", tmp_path / "posstats"]) == 0
+    cells = json.loads((tmp_path / "posstats" / "posstats.json").read_text())["cells"]
+    psp = {c["source_id"]: c for c in cells if c["group"] == "PSP/PRP"}
+    assert psp["a"]["n1"] == psp["b"]["n1"] == 1
+
+
 class TestPosstatsCommand:
     def test_runs_and_reports(self, tmp_path, demo_args):
         out = tmp_path / "out"
@@ -188,6 +228,45 @@ class TestConfigFile:
 
     def test_missing_required_option_reports_error(self, tmp_path):
         assert run(["freq", "--out", tmp_path / "out"]) == 1
+
+    def test_string_values_go_through_the_option_type(self, tmp_path, demo_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"k": "3", "ranked": demo_args["ranked"]}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "overlap", "--out", out]) == 0
+        assert json.loads((out / "overlap_report.json").read_text())["k"] == 3
+        assert json.loads((out / "provenance.json").read_text())["parameters"]["k"] == 3
+
+    def test_bool_flag_from_config(self, tmp_path, demo_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"keep-symbols": True}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "freq", "--corpus", demo_args["corpus"],
+                    "--out", out]) == 0
+        assert json.loads((out / "provenance.json").read_text())["parameters"]["keep_symbols"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth", "three"),
+        ("depth", 2.5),
+        ("depth", True),
+        ("threshold", "high"),
+        ("use_frequency", "yes"),
+        ("ranked", "a=a.tsv"),
+        ("ranked", [1, 2]),
+        ("out", 7),
+    ])
+    def test_bad_value_exits_1_naming_the_key(self, tmp_path, capsys, demo_args, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        # every other option comes as a flag, since flags win over the config
+        flags = {"ranked": demo_args["ranked"][:3], "out": [tmp_path / "out"],
+                 "pos-lexicon": [data_path("demo_pos_lexicon.tsv")]}
+        flags.pop(key, None)
+        argv = [a for name, values in flags.items() for v in values for a in ("--" + name, v)]
+        assert run(["--config", config, "posstats", *argv]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_provenance_names_inputs(tmp_path, demo_args):

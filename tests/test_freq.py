@@ -1,8 +1,11 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stoplemma import freq
 from stoplemma.corpus import CorpusSource, Document
 from stoplemma.freq import (
     FrequencyTable,
@@ -17,7 +20,7 @@ from stoplemma.freq import (
     write_tsv,
 )
 from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon
-from stoplemma.normalize import FilterPolicy
+from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tokenize
 
 VOCAB = ["घर", "गया", "जा", "का", "है", "राम", "नदी", "पेड़"]
 
@@ -140,3 +143,44 @@ def test_policy_flags_respected():
     assert set(table.counts) == {"घर", "abc", "१२"}
     table = count_words(corpus_of(text), FilterPolicy(drop_devanagari_digits=True))
     assert set(table.counts) == {"घर"}
+
+
+# Devanagari letters, matras, virama, nukta (alone and in precomposed and
+# composition-excluded forms), danda, digits of three scripts, NBSP, ZWJ,
+# ZWNJ, Latin letters and a combining accent, punctuation and whitespace.
+COUNTING_ALPHABET = (
+    "कनखाि\u094d\u093c\u0929\u0958।॥०१२\u09e7"
+    "\u00a0\u200c\u200d aZ09\u0301#,.-\t\n"
+)
+
+
+POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
+
+
+@pytest.mark.parametrize("chunk_chars", [freq._CHUNK_CHARS, 3], ids=["default-chunks", "3-char-chunks"])
+@pytest.mark.parametrize("flags", POLICY_FLAGS, ids=[
+    "drop-" + ("".join(n for n, drop in zip("SWND", f) if drop) or "none") for f in POLICY_FLAGS])
+@settings(max_examples=40, deadline=None)
+@given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=60))
+def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raw):
+    policy = FilterPolicy(*flags)
+    expected = Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freq, "_CHUNK_CHARS", chunk_chars)
+        assert count_document_words(Document(path="d.txt", raw_text=raw), policy) == expected
+
+
+def test_chunking_never_cuts_a_run(monkeypatch):
+    monkeypatch.setattr(freq, "_CHUNK_CHARS", 8)
+    doc = Document(path="d.txt", raw_text="घर " + "क" * 20 + " है")
+    assert count_document_words(doc) == {"घर": 1, "क" * 20: 1, "है": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=80))
+def test_written_tsv_reads_back_with_every_kind_kept(tmp_path_factory, raw):
+    keep_all = FilterPolicy(False, False, False, False)
+    table = count_words(corpus_of(raw, "# #, a"), keep_all)
+    path = tmp_path_factory.mktemp("tsv") / "words.tsv"
+    write_tsv(rank_items(table), path)
+    assert read_ranked_tsv(path) == rank_items(table)

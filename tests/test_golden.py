@@ -1,0 +1,58 @@
+"""Golden output hashes: every subcommand on the bundled data.
+
+The commands run from a temporary working directory with relative paths, so
+``provenance.json`` (which names its inputs by path) is stable as well. Each
+constant is the SHA-256 of one whole ``--out`` tree. A constant changes only
+when an output is meant to change; a refactor must leave every one intact.
+"""
+
+import hashlib
+import shutil
+
+import pytest
+
+from stoplemma import data_path
+from stoplemma.cli import main
+
+_RANKED = [f"LR{n}=data/table3_top10/LR{n}.tsv" for n in range(12, 20)]
+_STOPLISTS = [f"l{i}=data/demo_stoplists/list{i}.txt" for i in (1, 2, 3)]
+_LEXICON = ["--lexicon", "data/demo_lexicon.tsv"]
+_CORPUS = ["--corpus", "demo=data/demo_corpus"]
+
+COMMANDS = {
+    "freq": ["freq", *_CORPUS, *_LEXICON],
+    "freq-symbols": ["freq", *_CORPUS, *_LEXICON, "--keep-symbols", "--keep-latin-words"],
+    "induce": ["induce", *[a for s in _STOPLISTS for a in ("--stoplist", s)],
+               *_CORPUS, *_LEXICON, "--k-a", "20", "--k-b", "20"],
+    "overlap": ["overlap", *[a for r in _RANKED for a in ("--ranked", r)], "--k", "10"],
+    "posstats": ["posstats", *[a for r in _RANKED for a in ("--ranked", r)],
+                 "--pos-lexicon", "data/demo_pos_lexicon.tsv"],
+    "assess": ["assess", "--mapping", "data/english_hindi_mapping.tsv", *_LEXICON,
+               "--list", "data/table5_stoplemmas.txt"],
+}
+
+GOLDEN = {
+    "assess": "a390e82052824ba58e91520fb2428e1f30969ff71273d732cfc834778a1dcb3d",
+    "freq": "2771d2def3c3f8cce1038fa10e56cae4faa520ce677658668b32cd459637d357",
+    "freq-symbols": "22a87c5ce04a1be5a9200f0c4b4c167148c3b9427883a578e693d3f9c9819064",
+    "induce": "4421c5700e2e5c1ce086cdb8a5c81382f66d46d6133636292939761554bbd39f",
+    "overlap": "d02b6453554f0ecab2d5d5299846b5e4c3f19b6ff5888436a8b8386c73ef6606",
+    "posstats": "a34b41943e7188746591111db70b989ac02041b2000755e766285582fc3ebd5d",
+}
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode() + b"\0")
+            h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_tree_matches_golden_hash(name, tmp_path, monkeypatch):
+    shutil.copytree(data_path(), tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    assert main([*COMMANDS[name], "--out", name]) == 0
+    assert tree_digest(tmp_path / name) == GOLDEN[name]

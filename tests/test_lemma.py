@@ -6,7 +6,6 @@ from stoplemma.lemma import (
     LemmaLexicon,
     LexiconError,
     gen_lemma,
-    lemmatize,
     lemmatize_phrase,
     load_lexicon,
     oov_rate,
@@ -51,18 +50,14 @@ class TestLoadLexicon:
 class TestLemmatize:
     def test_direct_lookup(self):
         lex = LemmaLexicon(entries={"गया": "जा"})
-        assert lemmatize("गया", lex) == "जा"
+        assert lex.lemma_of("गया") == "जा"
 
     def test_identity_fallback(self):
-        assert lemmatize("घर", EMPTY_LEXICON) == "घर"
+        assert EMPTY_LEXICON.lemma_of("घर") == "घर"
 
     def test_self_mapping(self):
         lex = LemmaLexicon(entries={"का": "का"})
-        assert lemmatize("का", lex) == "का"
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            lemmatize("", EMPTY_LEXICON)
+        assert lex.lemma_of("का") == "का"
 
     def test_phrase_lemmatized_tokenwise(self):
         lex = LemmaLexicon(entries={"गया": "जा", "की": "का"})

@@ -9,8 +9,8 @@ from stoplemma.normalize import (
     Token,
     TokenKind,
     filter_tokens,
-    iter_filtered_surfaces,
     normalize_text,
+    read_records,
     split_sentences,
     tokenize,
 )
@@ -152,9 +152,25 @@ class TestFilterTokens:
         for token in filter_tokens(tokenize(text)):
             assert not LATIN_ALNUM.search(token.surface)
 
-    @given(st.text(max_size=200))
-    def test_fast_path_matches_tokenize_pipeline(self, raw):
-        policy = FilterPolicy()
-        slow = [t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy)]
-        fast = list(iter_filtered_surfaces(raw, policy))
-        assert slow == fast
+
+class RecordError(ValueError):
+    pass
+
+
+class TestReadRecords:
+    def test_skips_blank_and_tab_free_comment_lines(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("# comment\n\n  \n#\t3\nन\u093c\t1\n", encoding="utf-8")
+        assert list(read_records(path, 2)) == [(4, ["#", "3"]), (5, ["\u0929", "1"])]
+
+    def test_one_field_records_keep_inner_spaces(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text(" के  लिए \n", encoding="utf-8")
+        assert list(read_records(path, 1)) == [(1, ["के  लिए"])]
+
+    @pytest.mark.parametrize("line", ["a", "a\tb\tc", "a\t\tb", "#\tb\tc"])
+    def test_malformed_line_raises_callers_error_with_path_and_line(self, tmp_path, line):
+        path = tmp_path / "r.tsv"
+        path.write_text("ok\t1\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=re.escape(f"{path}:2:")):
+            list(read_records(path, 2, RecordError))
