@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .lemma import LemmaLexicon, lemmatize_phrase
+from .lemma import LemmaLexicon, gen_lemma
 from .normalize import read_records, write_json
 
 UNTRANSLATABLE_MARK = "!"
@@ -75,10 +75,7 @@ def assess_coverage(
 
     Untranslatable externals are excluded from the denominator.
     """
-    mapped: set[str] = set()
-    for targets in mapping.pairs.values():
-        for form in targets:
-            mapped.add(lemmatize_phrase(form, lex))
+    mapped = gen_lemma((form for targets in mapping.pairs.values() for form in targets), lex)
     hits = {l for l in mapped if l in stop_lemmas}
     return CoverageReport(
         external_total=mapping.external_total,

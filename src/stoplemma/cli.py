@@ -31,8 +31,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_COMPUTE_ERROR = 2
 
-# every loader's own error class (CorpusError, LexiconError, ...) is a ValueError
-_INPUT_ERRORS = (FileNotFoundError, ValueError)
+# every loader's error class is a ValueError; OSError: paths that cannot be read or written
+_INPUT_ERRORS = (OSError, ValueError)
 
 # options each subcommand needs, from a flag or the config file, besides --out
 _REQUIRED = {
@@ -50,6 +50,13 @@ class InputSpecError(ValueError):
 
 class ComputeError(Exception):
     """Valid inputs whose result is undefined."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1), not by exiting 2."""
+
+    def error(self, message):
+        raise InputSpecError(f"{self.prog}: {message}")
 
 
 def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
@@ -150,7 +157,7 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     report = induce_mod.induction_report(lists, set_a, set_b, final)
     return inputs, {
         "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
-        "induction_report.json": partial(induce_mod.write_induction_report, report),
+        "induction_report.json": partial(write_json, vars(report)),
     }
 
 
@@ -225,8 +232,7 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stoplemma",
-                                     description="Hindi stop-lemma toolkit")
+    parser = _Parser(prog="stoplemma", description="Hindi stop-lemma toolkit")
     parser.add_argument("--config", help="JSON config file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,8 +309,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        raise InputSpecError(f"{args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise InputSpecError(f"{args.config}: config must be a JSON object")
     # find which options were given explicitly: reparse with all defaults

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -78,9 +80,9 @@ def _load_sidecar(root: Path) -> dict[str, DocumentMeta]:
     if not sidecar.exists():
         return {}
     metas: dict[str, DocumentMeta] = {}
-    with sidecar.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        required = {"file", "title", "author", "gender", "state", "year"}
+    reader = csv.DictReader(io.StringIO(_read_text(sidecar), newline=""), delimiter="\t")
+    required = {"file", "title", "author", "gender", "state", "year"}
+    try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise CorpusError(f"{sidecar}: header must contain columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
@@ -99,16 +101,12 @@ def _load_sidecar(root: Path) -> dict[str, DocumentMeta]:
                 native_state=unicodedata.normalize("NFC", (row["state"] or "").strip()) or "unknown",
                 year=year,
             )
+    except csv.Error as exc:
+        raise CorpusError(f"{sidecar}:{reader.reader.line_num}: {exc}") from None
     return metas
 
 
-def load_corpus(
-    root: str | Path,
-    id: str,
-    domain_label: str = "",
-    name: str = "",
-    extension: str = ".txt",
-) -> CorpusSource:
+def load_corpus(root: str | Path, id: str) -> CorpusSource:
     """Load every ``*.txt`` under ``root`` in lexicographic path order.
 
     Metadata comes from an optional ``metadata.tsv`` sidecar; files without a
@@ -117,9 +115,9 @@ def load_corpus(
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
-    paths = sorted(p for p in root.rglob(f"*{extension}") if p.is_file())
+    paths = sorted(p for p in root.rglob("*.txt") if p.is_file())
     if not paths:
-        raise CorpusError(f"no {extension} files under {root}")
+        raise CorpusError(f"no .txt files under {root}")
     metas = _load_sidecar(root)
     documents = tuple(
         Document(
@@ -129,24 +127,17 @@ def load_corpus(
         )
         for p in paths
     )
-    return CorpusSource(id=id, name=name or id, domain_label=domain_label, documents=documents)
+    return CorpusSource(id=id, name=id, domain_label="", documents=documents)
 
 
 def metadata_summary(corpus: CorpusSource) -> MetadataSummary:
-    gender_counts: dict[str, int] = {}
-    state_counts: dict[str, int] = {}
-    era_counts: dict[str, int] = {}
-    for doc in corpus.documents:
-        meta = doc.meta or DocumentMeta()
-        gender_counts[meta.gender] = gender_counts.get(meta.gender, 0) + 1
-        state_counts[meta.native_state] = state_counts.get(meta.native_state, 0) + 1
-        era_counts[meta.era] = era_counts.get(meta.era, 0) + 1
-    total = len(corpus.documents)
-    female = gender_counts.get("female", 0)
+    metas = [doc.meta or DocumentMeta() for doc in corpus.documents]
+    total = len(metas)
+    gender_counts = Counter(meta.gender for meta in metas)
     return MetadataSummary(
         total_docs=total,
-        gender_counts=gender_counts,
-        female_fraction=female / total if total else 0.0,
-        state_counts=state_counts,
-        era_counts=era_counts,
+        gender_counts=dict(gender_counts),
+        female_fraction=gender_counts["female"] / total if total else 0.0,
+        state_counts=dict(Counter(meta.native_state for meta in metas)),
+        era_counts=dict(Counter(meta.era for meta in metas)),
     )

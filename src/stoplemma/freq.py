@@ -7,7 +7,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusSource, Document
 from .lemma import EMPTY_LEXICON, LemmaLexicon
@@ -21,7 +21,7 @@ _SPACE = re.compile(r"\s")
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    item_kind: str  # "word" or "lemma"
+    item_kind: str  # "word", "lemma" or "item"
     counts: dict[str, int]
     source_id: str
 
@@ -37,9 +37,6 @@ class FrequencyTable:
 @dataclass(frozen=True)
 class RankedList:
     entries: tuple[tuple[int, str, int], ...]  # (rank, item, count)
-
-    def items(self) -> list[str]:
-        return [item for _, item, _ in self.entries]
 
 
 def _iter_chunks(text: str) -> Iterable[str]:
@@ -63,7 +60,7 @@ def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -
     return counts
 
 
-def merge_counts(tables: Iterable[Counter]) -> Counter:
+def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
     merged: Counter = Counter()
     for t in tables:
         merged.update(t)
@@ -115,10 +112,20 @@ def write_tsv(ranked: RankedList, path: str | Path) -> None:
 
 
 def read_ranked_tsv(path: str | Path) -> RankedList:
-    """Read an ``item<TAB>count`` file written in rank order."""
-    records = read_records(path, 2)
+    """Read an ``item<TAB>count`` file written in rank order.
+
+    Counts are non-negative integers in ASCII digits and no item repeats;
+    otherwise the ``ValueError`` names ``path:lineno``.
+    """
+    counts: dict[str, int] = {}
+    for lineno, (item, count) in read_records(path, 2):
+        if not (count.isascii() and count.isdigit()):
+            raise ValueError(f"{path}:{lineno}: count must be a non-negative integer, got {count!r}")
+        if item in counts:
+            raise ValueError(f"{path}:{lineno}: repeated item {item!r}")
+        counts[item] = int(count)
     return RankedList(entries=tuple(
-        (rank, item, int(count)) for rank, (_, (item, count)) in enumerate(records, start=1)
+        (rank, item, count) for rank, (item, count) in enumerate(counts.items(), start=1)
     ))
 
 

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .freq import RankedList, top_k
+from .freq import FrequencyTable, RankedList, merge_counts, rank_items, top_k
 from .lemma import LemmaLexicon, gen_lemma
-from .normalize import read_records, write_json
+from .normalize import read_records
 
 DEFAULT_K = 100
 
@@ -27,7 +27,6 @@ class StopWordList:
 @dataclass(frozen=True)
 class StopLemmaList:
     lemmas: tuple[tuple[str, int], ...]  # (lemma, aggregate count), count-descending
-    provenance: dict
 
     def lemma_set(self) -> set[str]:
         return {lemma for lemma, _ in self.lemmas}
@@ -58,10 +57,7 @@ def load_stopword_list(path: str | Path, source_id: str) -> StopWordList:
 def dedup_across_lists(lists: Sequence[StopWordList]) -> tuple[int, int]:
     """(raw entry total incl. in-file duplicates, distinct entries across lists)."""
     raw = sum(len(sl.entries) + sl.duplicates_removed for sl in lists)
-    distinct: set[str] = set()
-    for sl in lists:
-        distinct.update(sl.entries)
-    return raw, len(distinct)
+    return raw, len(set().union(*(sl.entries for sl in lists)))
 
 
 def build_set_a(lists: Sequence[StopWordList], lex: LemmaLexicon, k: int = DEFAULT_K) -> set[str]:
@@ -80,8 +76,6 @@ def build_set_b(ranked_lemma_lists: Sequence[RankedList], k: int = DEFAULT_K) ->
     """Union of each corpus's top-k most frequent lemmas."""
     if not ranked_lemma_lists:
         raise InductionError("need at least one ranked lemma list")
-    if k < 1:
-        raise InductionError(f"k must be >= 1, got {k}")
     result: set[str] = set()
     for ranked in ranked_lemma_lists:
         result.update(top_k(ranked, k))
@@ -92,27 +86,19 @@ def build_final_list(
     set_a: set[str],
     set_b: set[str],
     aggregate_counts: Mapping[str, int],
-    provenance: dict | None = None,
 ) -> StopLemmaList:
     """Set intersection ordered by aggregate frequency (desc, codepoint ties)."""
     common = set_a & set_b
     missing = sorted(l for l in common if l not in aggregate_counts)
     if missing:
         raise InductionError(f"no aggregate count for lemmas: {missing}")
-    ordered = sorted(common, key=lambda l: (-aggregate_counts[l], l))
-    return StopLemmaList(
-        lemmas=tuple((l, aggregate_counts[l]) for l in ordered),
-        provenance=provenance or {},
-    )
+    table = FrequencyTable("lemma", {l: aggregate_counts[l] for l in common}, "aggregate")
+    return StopLemmaList(lemmas=tuple((l, n) for _, l, n in rank_items(table).entries))
 
 
 def aggregate_lemma_counts(tables: Sequence[Mapping[str, int]]) -> dict[str, int]:
     """Sum raw lemma counts over all contributing corpora."""
-    totals: dict[str, int] = {}
-    for counts in tables:
-        for lemma, n in counts.items():
-            totals[lemma] = totals.get(lemma, 0) + n
-    return totals
+    return dict(merge_counts(tables))
 
 
 def induction_report(
@@ -137,10 +123,6 @@ def write_stoplemma_list(final: StopLemmaList, path: str | Path) -> None:
             fh.write(lemma + "\n")
 
 
-def write_induction_report(report: InductionReport, path: str | Path) -> None:
-    write_json(vars(report), path)
-
-
-def load_reference_list(path: str | Path) -> list[str]:
-    """Read a one-lemma-per-line reference list (e.g. the bundled 311-entry list)."""
-    return [entry for _, (entry,) in read_records(path, 1, InductionError)]
+def load_reference_list(path: str | Path) -> tuple[str, ...]:
+    """Read a reference list (e.g. the bundled 311-entry list): a stop word list file."""
+    return load_stopword_list(path, source_id=str(path)).entries

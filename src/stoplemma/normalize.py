@@ -8,20 +8,15 @@ here too, by ``read_records``; ``write_json`` writes every JSON output.
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import string
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
-
-DEVANAGARI_START = 0x0900
-DEVANAGARI_END = 0x097F
-DANDA = "।"
-DOUBLE_DANDA = "॥"
-ZWNJ = "‌"
-ZWJ = "‍"
 
 # Word characters: Latin letters, ASCII digits, the Devanagari block minus
 # the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.  A
@@ -31,11 +26,13 @@ _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
 _SENT_END = re.compile(r"[।॥?!.]")
-_HAS_LATIN_ALNUM = re.compile(r"[A-Za-z0-9]")
-_ASCII_DIGITS = re.compile(r"[0-9]+\Z")
-_DEVA_DIGITS = re.compile(r"[०-९]+\Z")
-_LATIN_LETTER = re.compile(r"[A-Za-z]")
-_ANY_DIGIT = re.compile(r"[0-9०-९]")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # an undecodable byte under "surrogateescape"
+
+# classify's character classes; Devanagari words are U+0900–U+097F, ZWNJ, ZWJ
+_ASCII_DIGITS = frozenset(string.digits)
+_DEVANAGARI_DIGITS = frozenset("०१२३४५६७८९")
+_LATIN_LETTERS = frozenset(string.ascii_letters)
+_DEVANAGARI = frozenset(map(chr, range(0x0900, 0x0980))) | {"\u200c", "\u200d"}
 
 
 class TokenKind(Enum):
@@ -83,28 +80,18 @@ def normalize_text(raw: str) -> str:
     return _WS_RUN.sub(" ", unicodedata.normalize("NFC", raw))
 
 
-def _is_devanagari_word(surface: str) -> bool:
-    for ch in surface:
-        if ch in (ZWJ, ZWNJ):
-            continue
-        if not DEVANAGARI_START <= ord(ch) <= DEVANAGARI_END:
-            return False
-    return True
-
-
 def classify(surface: str) -> TokenKind:
-    if _ASCII_DIGITS.fullmatch(surface):
+    chars = set(surface)
+    if chars and chars <= _ASCII_DIGITS:
         return TokenKind.LATIN_NUMBER
-    if _DEVA_DIGITS.fullmatch(surface):
+    if chars and chars <= _DEVANAGARI_DIGITS:
         return TokenKind.DEVANAGARI_NUMBER
-    if not _LATIN_LETTER.search(surface):
-        if _is_devanagari_word(surface):
-            return TokenKind.DEVANAGARI_WORD
-        # digit runs mixing scripts classify with the Latin digits they carry
-        if _ANY_DIGIT.search(surface) and _HAS_LATIN_ALNUM.search(surface):
-            return TokenKind.LATIN_NUMBER
-        return TokenKind.SYMBOL
-    return TokenKind.LATIN_WORD
+    if chars & _LATIN_LETTERS:
+        return TokenKind.LATIN_WORD
+    if chars <= _DEVANAGARI:
+        return TokenKind.DEVANAGARI_WORD
+    # digit runs mixing scripts classify with the Latin digits they carry
+    return TokenKind.LATIN_NUMBER if chars & _ASCII_DIGITS else TokenKind.SYMBOL
 
 
 def token_kind(surface: str) -> TokenKind:
@@ -172,18 +159,25 @@ def read_records(
 
     Lines are NFC-normalized and stripped.  Blank lines and ``#`` lines
     without a tab are skipped; every other line must hold exactly ``fields``
-    non-empty fields, else ``error`` names ``path:lineno``.
+    non-empty fields, else ``error`` names ``path:lineno``; so does bad UTF-8.
     """
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = unicodedata.normalize("NFC", line.strip())
-            if not line or (line.startswith("#") and "\t" not in line):
-                continue
-            parts = line.split("\t")
-            if len(parts) != fields or not all(parts):
-                raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
-                            f"field(s), got {line!r}")
-            yield lineno, parts
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = unicodedata.normalize("NFC", line.strip())
+                if not line or (line.startswith("#") and "\t" not in line):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != fields or not all(parts):
+                    raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
+                                f"field(s), got {line!r}")
+                yield lineno, parts
+    except UnicodeDecodeError:
+        # the decoder reads ahead of the line it returns: count the lines before the bad byte
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+        head = _ESCAPED_BYTE.split(text, maxsplit=1)[0]
+        lineno = io.StringIO(head, newline=None).read().count("\n") + 1
+        raise error(f"{path}:{lineno}: invalid UTF-8") from None
 
 
 def write_json(payload: object, path: str | Path) -> None:

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .freq import RankedList, top_k
+from .freq import FrequencyTable, RankedList, rank_items, top_k, write_tsv
 from .normalize import read_records, write_json
-
-POS_TAGS = ("NN", "NNP", "NNPC", "PSP", "PRP", "SYM", "VM",
-            "QC", "QF", "QO", "NEG", "CC", "other")
 
 
 class UndefinedCorrelationError(ValueError):
@@ -101,19 +99,11 @@ def top_k_overlap(lists: Sequence[RankedList], k: int, source_ids: Sequence[str]
     """Count, per item, in how many sources it appears among the top k."""
     if len(lists) < 2:
         raise ValueError("overlap needs at least two ranked lists")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if source_ids is None:
         source_ids = [str(i) for i in range(len(lists))]
-    counts: dict[str, int] = {}
-    short = []
-    for sid, ranked in zip(source_ids, lists):
-        items = set(top_k(ranked, k))
-        if len(ranked.entries) < k:
-            short.append(sid)
-        for item in items:
-            counts[item] = counts.get(item, 0) + 1
-    return OverlapReport(k=k, source_count=len(lists), counts=counts, short_sources=tuple(short))
+    counts = Counter(item for ranked in lists for item in set(top_k(ranked, k)))
+    short = tuple(sid for sid, ranked in zip(source_ids, lists) if len(ranked.entries) < k)
+    return OverlapReport(k=k, source_count=len(lists), counts=counts, short_sources=short)
 
 
 def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[float, float]:
@@ -166,7 +156,6 @@ def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], 
 def pos_rank_analysis(
     lists: Sequence[RankedList],
     lex: PosLexicon,
-    groups: Sequence[TagGroup] = DEFAULT_GROUPS,
     depth: Optional[int] = None,
     source_ids: Sequence[str] | None = None,
     use_frequency: bool = False,
@@ -174,17 +163,20 @@ def pos_rank_analysis(
     """Correlate POS-group membership with rank over each source's top entries.
 
     Cells where r is undefined (a group absent or omnipresent in a source) are
-    flagged and excluded from that group's descriptive statistics.
+    flagged and excluded from that group's descriptive statistics.  ``depth``,
+    when given, must be at least 1; by default every entry is used.
     """
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if source_ids is None:
         source_ids = [str(i) for i in range(len(lists))]
     cells: list[CorrelationCell] = []
     summaries: list[GroupSummary] = []
     actual_depth = depth or max((len(l.entries) for l in lists), default=0)
-    for group in groups:
+    for group in DEFAULT_GROUPS:
         rs, ps, flagged = [], [], []
         for sid, ranked in zip(source_ids, lists):
-            entries = ranked.entries[:depth] if depth else ranked.entries
+            entries = ranked.entries[:depth]
             if len(entries) < 3:
                 cells.append(CorrelationCell(group.name, sid, None, None, 0, 0,
                                              error="fewer than 3 entries"))
@@ -229,10 +221,7 @@ def reject_pos_hypothesis(report: CorrelationReport, threshold: float = 0.5) -> 
 
 def write_overlap_tsv(report: OverlapReport, path: str | Path) -> None:
     """Word-cloud data: ``item<TAB>count`` ordered by count desc, codepoint ties."""
-    ordered = sorted(report.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for item, count in ordered:
-            fh.write(f"{item}\t{count}\n")
+    write_tsv(rank_items(FrequencyTable("item", report.counts, "overlap")), path)
 
 
 def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:
@@ -246,13 +235,4 @@ def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:
 
 
 def write_correlation_json(report: CorrelationReport, path: str | Path) -> None:
-    payload = {
-        "depth": report.depth,
-        "cells": [vars(c) for c in report.cells],
-        "summaries": [
-            {**{k: v for k, v in vars(s).items() if k != "flagged_sources"},
-             "flagged_sources": list(s.flagged_sources)}
-            for s in report.summaries
-        ],
-    }
-    write_json(payload, path)
+    write_json(asdict(report), path)

@@ -186,6 +186,14 @@ class TestPosstatsCommand:
                   "--out", tmp_path / "out"])
         assert rc == 2
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_exits_1(self, tmp_path, capsys, demo_args, depth):
+        out = tmp_path / "out"
+        assert run(["posstats", "--ranked", demo_args["ranked"][0], "--depth", depth,
+                    "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
+        assert f"depth must be >= 1, got {depth}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAssessCommand:
     def test_self_mapping_full_coverage(self, tmp_path, demo_args):
@@ -209,6 +217,15 @@ class TestAssessCommand:
         payload = json.loads((out / "coverage.json").read_text())
         assert payload["mapped_lemma_count"] == 74
         assert payload["misses"] == ["जरूर"]
+
+    def test_list_entries_collapse_inner_whitespace(self, tmp_path):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("of the\tका है\n", encoding="utf-8")
+        listfile = tmp_path / "list.txt"
+        listfile.write_text("का  है\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 0
+        assert json.loads((out / "coverage.json").read_text())["hit_count"] == 1
 
 
 class TestConfigFile:
@@ -266,6 +283,72 @@ class TestConfigFile:
         argv = [a for name, values in flags.items() for v in values for a in ("--" + name, v)]
         assert run(["--config", config, "posstats", *argv]) == 1
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["freq", "--bogus"],
+        [],
+        ["overlap", "--k", "abc"],
+    ], ids=["unknown-flag", "no-subcommand", "non-int-k"])
+    def test_exit_1_with_an_error_line(self, capsys, argv):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: stoplemma")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "usage: stoplemma" in capsys.readouterr().out
+
+
+class TestUnreadableInputs:
+    def test_out_names_an_existing_file(self, tmp_path, capsys, demo_args):
+        out = tmp_path / "out"
+        out.write_text("keep", encoding="utf-8")
+        assert run(["overlap", "--ranked", demo_args["ranked"][0],
+                    "--ranked", demo_args["ranked"][1], "--out", out]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize("option", ["--lexicon", "--config"])
+    def test_directory_as_input_file(self, tmp_path, capsys, demo_args, option):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = ["freq", "--corpus", demo_args["corpus"], "--out", tmp_path / "out"]
+        argv = [*argv, option, folder] if option == "--lexicon" else [option, folder, *argv]
+        assert run(argv) == 1
+        assert str(folder) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["lexicon", "stoplist", "ranked", "pos-lexicon",
+                                      "mapping", "list"])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, capsys, demo_args, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# comment\n\xff\t1\n")
+        ranked = ["--ranked", demo_args["ranked"][0]]
+        argv = {
+            "lexicon": ["freq", "--corpus", demo_args["corpus"], "--lexicon", bad],
+            "stoplist": ["induce", "--stoplist", f"s={bad}", "--corpus", demo_args["corpus"]],
+            "ranked": ["overlap", *ranked, "--ranked", f"bad={bad}"],
+            "pos-lexicon": ["posstats", *ranked, "--pos-lexicon", bad],
+            "mapping": ["assess", "--mapping", bad, "--list", data_path("table5_stoplemmas.txt")],
+            "list": ["assess", "--mapping", data_path("english_hindi_mapping.tsv"), "--list", bad],
+        }[kind]
+        assert run([*argv, "--out", tmp_path / "out"]) == 1
+        assert f"{bad}:2: invalid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_metadata_field(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("घर", encoding="utf-8")
+        (corpus / "metadata.tsv").write_text(
+            "file\ttitle\tauthor\tgender\tstate\tyear\n"
+            f"a.txt\t{'क' * 131073}\tलेखक\tfemale\tराज्य\t1950\n", encoding="utf-8")
+        assert run(["freq", "--corpus", f"c={corpus}", "--out", tmp_path / "out"]) == 1
+        assert f"{corpus / 'metadata.tsv'}:2: field larger than field limit" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

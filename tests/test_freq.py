@@ -1,4 +1,5 @@
 import itertools
+import re
 import random
 from collections import Counter
 
@@ -135,6 +136,22 @@ def test_tsv_roundtrip(tmp_path):
     path = tmp_path / "out.tsv"
     write_tsv(ranked, path)
     assert read_ranked_tsv(path) == ranked
+
+
+@pytest.mark.parametrize("count", ["abc", "-5", "+5", "1.0", "1e3", "٣"])
+def test_ranked_tsv_count_must_be_ascii_digits(tmp_path, count):
+    path = tmp_path / "r.tsv"
+    path.write_text(f"का\t7\nहै\t{count}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: count must be a non-negative integer")):
+        read_ranked_tsv(path)
+
+
+def test_ranked_tsv_repeated_item_rejected(tmp_path):
+    # the NFD spelling of ऩ is the same item once normalized
+    path = tmp_path / "r.tsv"
+    path.write_text("\u0929\t7\nहै\t3\nन\u093c\t1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: repeated item")):
+        read_ranked_tsv(path)
 
 
 def test_policy_flags_respected():

@@ -160,7 +160,7 @@ def test_list_export_roundtrip(tmp_path):
     final = build_final_list({"का", "है"}, {"का", "है"}, {"का": 2, "है": 1})
     out = tmp_path / "list.txt"
     write_stoplemma_list(final, out)
-    assert load_reference_list(out) == ["का", "है"]
+    assert load_reference_list(out) == ("का", "है")
 
 
 class TestReferenceList:
@@ -171,3 +171,11 @@ class TestReferenceList:
         assert "है" in lemmas
         assert "जरूर" not in lemmas
         assert len(set(lemmas)) == 311
+
+    def test_read_as_a_stop_word_list(self, tmp_path):
+        path = write_list(tmp_path, "ref.txt", ["का  है", "# comment", "घर", "का है", " घर "])
+        assert load_reference_list(path) == load_stopword_list(path, "ref").entries == ("का है", "घर")
+
+    def test_empty_reference_list_rejected(self, tmp_path):
+        with pytest.raises(InductionError, match="empty"):
+            load_reference_list(write_list(tmp_path, "ref.txt", ["# comment"]))

@@ -2,12 +2,13 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stoplemma.normalize import (
     FilterPolicy,
     Token,
     TokenKind,
+    classify,
     filter_tokens,
     normalize_text,
     read_records,
@@ -89,6 +90,36 @@ class TestTokenize:
         surfaces = [t.surface for t in tokenize(text)]
         again = [t.surface for t in tokenize(" ".join(surfaces))]
         assert surfaces == again
+
+
+def previous_classify(surface):
+    """The regex-and-loop rule that the character-class ``classify`` replaced."""
+    if re.fullmatch(r"[0-9]+", surface):
+        return TokenKind.LATIN_NUMBER
+    if re.fullmatch(r"[०-९]+", surface):
+        return TokenKind.DEVANAGARI_NUMBER
+    if not re.search(r"[A-Za-z]", surface):
+        if all(ch in "\u200c\u200d" or 0x0900 <= ord(ch) <= 0x097F for ch in surface):
+            return TokenKind.DEVANAGARI_WORD
+        if re.search(r"[0-9०-९]", surface) and re.search(r"[A-Za-z0-9]", surface):
+            return TokenKind.LATIN_NUMBER
+        return TokenKind.SYMBOL
+    return TokenKind.LATIN_WORD
+
+
+# the Devanagari block and its edges, digits of four scripts, Latin letters,
+# ZWJ/ZWNJ/ZWSP, Cyrillic, CJK and punctuation
+CLASSIFY_ALPHABET = st.one_of(
+    st.characters(min_codepoint=0x08FF, max_codepoint=0x0980),
+    st.sampled_from("0123456789٠٣৩৪aZ\u200b\u200c\u200dд中.#-!"),
+    st.characters(),
+)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=CLASSIFY_ALPHABET, max_size=8))
+def test_classify_matches_the_previous_rule(surface):
+    assert classify(surface) is previous_classify(surface)
 
 
 class TestSplitSentences:
@@ -173,4 +204,11 @@ class TestReadRecords:
         path = tmp_path / "r.tsv"
         path.write_text("ok\t1\n" + line + "\n", encoding="utf-8")
         with pytest.raises(RecordError, match=re.escape(f"{path}:2:")):
+            list(read_records(path, 2, RecordError))
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_raises_callers_error_with_path_and_line(self, tmp_path, newline):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(newline.join([b"# c", "का\t1".encode(), b"\xff\t2", b""]))
+        with pytest.raises(RecordError, match=re.escape(f"{path}:3: invalid UTF-8")):
             list(read_records(path, 2, RecordError))

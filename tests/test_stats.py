@@ -188,6 +188,12 @@ class TestPosRankAnalysis:
         cell = next(c for c in report.cells if c.group == "PSP/PRP")
         assert cell.n1 + cell.n0 == 5
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_rejected(self, depth):
+        counts = {f"w{i}": 100 - i for i in range(20)}
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            pos_rank_analysis([ranked_from(counts)], self.make_lex(), depth=depth)
+
     def test_hypothesis_threshold(self):
         lists = [ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2, "घर": 1})]
         report = pos_rank_analysis(lists, self.make_lex())
