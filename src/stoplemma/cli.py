@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -60,13 +61,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
-    pairs = []
+    """``(ID, PATH)`` pairs; each ID is distinct and a plain file name, as ``freq`` names files after it."""
+    pairs: dict[str, str] = {}
     for spec in specs:
         ident, _, path = spec.partition("=")
         if not ident or not path:
             raise InputSpecError(f"{label} must look like ID=PATH, got {spec!r}")
-        pairs.append((ident, path))
-    return pairs
+        if ident in (".", "..") or "/" in ident or "\0" in ident:
+            raise InputSpecError(f"{label} ID must be a plain file name, got {ident!r}")
+        if ident in pairs:
+            raise InputSpecError(f"{label} ID {ident!r} is given more than once")
+        pairs[ident] = path
+    return list(pairs.items())
 
 
 def _existing(*paths: str | None) -> list[str]:
@@ -180,6 +186,8 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
 
 
 def cmd_posstats(args) -> tuple[list[str], dict]:
+    if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
+        raise InputSpecError(f"--threshold must be a finite number, got {args.threshold!r}")
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
     lists = [freq_mod.read_ranked_tsv(path) for _, path in ranked_specs]

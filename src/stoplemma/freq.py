@@ -13,9 +13,9 @@ from .corpus import CorpusSource, Document
 from .lemma import EMPTY_LEXICON, LemmaLexicon
 from .normalize import FilterPolicy, read_records, scan_surfaces, token_kind, write_json
 
-# Large documents are scanned in slices so counting never materializes the
-# whole token stream; each slice ends at whitespace to keep runs whole.
-_CHUNK_CHARS = 1 << 22
+# Large documents are split in slices so no split() list holds the whole
+# token stream; each slice ends at whitespace to keep tokens whole.
+_CHUNK_CHARS = 1 << 18
 _SPACE = re.compile(r"\s")
 
 
@@ -49,11 +49,19 @@ def _iter_chunks(text: str) -> Iterable[str]:
 
 
 def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -> Counter:
-    # Count all token surfaces first, then filter per unique type:
-    # classification work scales with the vocabulary, not the token count.
-    counts: Counter = Counter()
+    # Count whitespace tokens first, then normalize, scan and filter each
+    # distinct one, weighted by its count: that work scales with the
+    # vocabulary, not the token count.  This equals NFC and scanning the whole
+    # text because every whitespace character is an NFC starter that composes
+    # with nothing, NFC maps no other character to whitespace, and str.split()
+    # and re's \s agree on what whitespace is.
+    tokens: Counter = Counter()
     for chunk in _iter_chunks(doc.raw_text):
-        counts.update(scan_surfaces(unicodedata.normalize("NFC", chunk), policy))
+        tokens.update(chunk.split())
+    counts: Counter = Counter()
+    for token, n in tokens.items():
+        for surface in scan_surfaces(unicodedata.normalize("NFC", token), policy):
+            counts[surface] += n
     for surface in list(counts):
         if not policy.keeps(token_kind(surface)):
             del counts[surface]
@@ -114,8 +122,9 @@ def write_tsv(ranked: RankedList, path: str | Path) -> None:
 def read_ranked_tsv(path: str | Path) -> RankedList:
     """Read an ``item<TAB>count`` file written in rank order.
 
-    Counts are non-negative integers in ASCII digits and no item repeats;
-    otherwise the ``ValueError`` names ``path:lineno``.
+    Counts are non-negative integers in ASCII digits, within ``int()``'s
+    digit limit, and no item repeats; otherwise the ``ValueError`` names
+    ``path:lineno``.
     """
     counts: dict[str, int] = {}
     for lineno, (item, count) in read_records(path, 2):
@@ -123,7 +132,11 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
             raise ValueError(f"{path}:{lineno}: count must be a non-negative integer, got {count!r}")
         if item in counts:
             raise ValueError(f"{path}:{lineno}: repeated item {item!r}")
-        counts[item] = int(count)
+        try:
+            counts[item] = int(count)
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"{path}:{lineno}: count has {len(count)} digits, "
+                             f"more than int() accepts") from None
     return RankedList(entries=tuple(
         (rank, item, count) for rank, (item, count) in enumerate(counts.items(), start=1)
     ))

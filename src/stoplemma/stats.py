@@ -8,8 +8,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
 from .freq import FrequencyTable, RankedList, rank_items, top_k, write_tsv
 from .normalize import read_records, write_json
 
@@ -135,6 +133,10 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
     if abs(r) == 1.0:
         p = 0.0
     else:
+        # imported here, not at module level: scipy costs every other subcommand
+        # most of its start-up time and memory, and only this call needs it
+        from scipy import stats as _scipy_stats
+
         t = r * math.sqrt((n - 2) / (1 - r * r))
         p = 2 * _scipy_stats.t.sf(abs(t), n - 2)
     return r, p

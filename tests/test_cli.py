@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stoplemma
 from stoplemma import data_path
 from stoplemma.cli import main
 
@@ -142,6 +147,15 @@ class TestOverlapCommand:
         item, count = first.split("\t")
         assert int(count) == 8
 
+    def test_count_beyond_the_int_digit_limit_names_the_line(self, tmp_path, capsys, demo_args):
+        ranked = tmp_path / "r.tsv"
+        ranked.write_text(f"का\t{'9' * 5000}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["overlap", "--ranked", demo_args["ranked"][0], "--ranked", f"big={ranked}",
+                    "--out", out]) == 1
+        assert f"{ranked}:1: count has 5000 digits" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_nfd_and_nfc_ranked_items_are_one_item(tmp_path):
     # न + nukta (NFD) in one list, precomposed ऩ (NFC) in the other
@@ -192,6 +206,25 @@ class TestPosstatsCommand:
         assert run(["posstats", "--ranked", demo_args["ranked"][0], "--depth", depth,
                     "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
         assert f"depth must be >= 1, got {depth}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_flag_exits_1(self, tmp_path, capsys, demo_args, value):
+        out = tmp_path / "out"
+        assert run(["posstats", "--ranked", demo_args["ranked"][0], f"--threshold={value}",
+                    "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
+        assert "--threshold must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_threshold_from_config_exits_1(self, tmp_path, capsys, demo_args, literal):
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"threshold": {literal}}}', encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "posstats", "--ranked", demo_args["ranked"][0],
+                    "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
+        assert "--threshold must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -303,6 +336,39 @@ class TestUsageErrors:
         assert "usage: stoplemma" in capsys.readouterr().out
 
 
+class TestIdPathSpecs:
+    def test_repeated_id_exits_1(self, tmp_path, capsys, demo_args):
+        other = tmp_path / "corpus"
+        other.mkdir()
+        (other / "a.txt").write_text("घर", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["freq", "--corpus", demo_args["corpus"].replace("demo=", "a="),
+                    "--corpus", f"a={other}", "--out", out]) == 1
+        assert "--corpus ID 'a' is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ident", ["a/b", ".", "..", "../up", "a\0b"])
+    def test_id_that_is_not_a_plain_file_name_exits_1(self, tmp_path, capsys, demo_args, ident):
+        corpus = demo_args["corpus"].partition("=")[2]
+        out = tmp_path / "out"
+        assert run(["freq", "--corpus", f"x={corpus}", "--corpus", f"{ident}={corpus}",
+                    "--out", out]) == 1
+        assert f"--corpus ID must be a plain file name, got {ident!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["ranked-repeated", "stoplist-slash"])
+    def test_every_id_path_option_is_checked(self, tmp_path, capsys, demo_args, kind):
+        ranked, stoplist = demo_args["ranked"][0], demo_args["stoplists"][0]
+        argv = {
+            "ranked-repeated": ["overlap", "--ranked", ranked, "--ranked", ranked],
+            "stoplist-slash": ["induce", "--stoplist", "s/" + stoplist,
+                               "--corpus", demo_args["corpus"]],
+        }[kind]
+        assert run([*argv, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --{kind.split('-')[0]} ID")
+        assert not (tmp_path / "out").exists()
+
+
 class TestUnreadableInputs:
     def test_out_names_an_existing_file(self, tmp_path, capsys, demo_args):
         out = tmp_path / "out"
@@ -361,3 +427,41 @@ def test_provenance_names_inputs(tmp_path, demo_args):
     assert str(demo_args["lexicon"]) in block["inputs"]
     for digest in block["inputs"].values():
         assert len(digest) == 64
+
+
+# Run in a fresh interpreter: this process may have imported scipy already.
+_NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+from stoplemma import data_path
+from stoplemma.cli import main
+
+out = Path(sys.argv[1])
+corpus = f"demo={data_path('demo_corpus')}"
+lexicon = str(data_path("demo_lexicon.tsv"))
+ranked = [a for p in sorted(data_path("table3_top10").glob("*.tsv"))
+          for a in ("--ranked", f"{p.stem}={p}")]
+stoplists = [a for i in (1, 2, 3)
+             for a in ("--stoplist", f"l{i}={data_path('demo_stoplists', f'list{i}.txt')}")]
+codes = [
+    main(["freq", "--corpus", corpus, "--lexicon", lexicon, "--out", str(out / "freq")]),
+    main(["induce", *stoplists, "--corpus", corpus, "--lexicon", lexicon,
+          "--out", str(out / "induce")]),
+    main(["overlap", *ranked, "--out", str(out / "overlap")]),
+    main(["assess", "--mapping", str(data_path("english_hindi_mapping.tsv")),
+          "--lexicon", lexicon, "--list", str(data_path("table5_stoplemmas.txt")),
+          "--out", str(out / "assess")]),
+]
+assert codes == [0, 0, 0, 0], codes
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_only_posstats_imports_scipy(tmp_path):
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess"}

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stoplemma import freq
 from stoplemma.corpus import CorpusSource, Document
@@ -164,10 +164,13 @@ def test_policy_flags_respected():
 
 # Devanagari letters, matras, virama, nukta (alone and in precomposed and
 # composition-excluded forms), danda, digits of three scripts, NBSP, ZWJ,
-# ZWNJ, Latin letters and a combining accent, punctuation and whitespace.
+# ZWNJ, Latin letters and a combining accent, punctuation and whitespace:
+# ASCII, U+2000 and U+2001 (which NFC maps onto other spaces), NEL, the file
+# separator U+001C and the ideographic space.
 COUNTING_ALPHABET = (
     "कनखाि\u094d\u093c\u0929\u0958।॥०१२\u09e7"
     "\u00a0\u200c\u200d aZ09\u0301#,.-\t\n"
+    "\u2000\u2001\u0085\u001c\u3000"
 )
 
 
@@ -179,6 +182,10 @@ POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
     "drop-" + ("".join(n for n, drop in zip("SWND", f) if drop) or "none") for f in POLICY_FLAGS])
 @settings(max_examples=40, deadline=None)
 @given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=60))
+# with 3-char chunks the first cut falls inside the whitespace run; the
+# second document has no whitespace, so it is one chunk of one token
+@example(raw="घर \u2000\u3000\t\u0085  \u0301a, है")
+@example(raw="क\u093cि।१2#a\u0301,घर" * 4)
 def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raw):
     policy = FilterPolicy(*flags)
     expected = Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
