@@ -8,13 +8,13 @@ with a codepoint tie-break, so repeated runs are always identical.
 """
 
 from stoplemma import data_path
-from stoplemma.corpus import load_corpus, metadata_summary
+from stoplemma.corpus import load_corpus, load_metadata, metadata_summary
 from stoplemma.freq import count_lemmas, count_words, rank_items, top_k
 from stoplemma.lemma import load_lexicon, oov_rate
 
 corpus = load_corpus(data_path("demo_corpus"), id="demo")
 print(f"documents: {len(corpus.documents)}")
-summary = metadata_summary(corpus)
+summary = metadata_summary(corpus, load_metadata(data_path("demo_corpus")))
 print(f"metadata: {summary}")
 
 lex = load_lexicon(data_path("demo_lexicon.tsv"))

@@ -26,7 +26,7 @@ from . import freq as freq_mod
 from . import induce as induce_mod
 from . import lemma as lemma_mod
 from . import stats as stats_mod
-from .normalize import FilterPolicy, write_json
+from .normalize import FilterPolicy, read_text, write_json
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -317,10 +317,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     args = parser.parse_args(argv)
     if not args.config:
         return args
+    text = read_text(args.config, InputSpecError)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, deep nesting
+        config = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
         raise InputSpecError(f"{args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise InputSpecError(f"{args.config}: config must be a JSON object")

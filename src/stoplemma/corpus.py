@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from .normalize import read_text
 
 INDEPENDENCE_YEAR = 1947
 GENDERS = ("male", "female", "unknown")
@@ -41,7 +41,6 @@ class DocumentMeta:
 class Document:
     path: str
     raw_text: str
-    meta: Optional[DocumentMeta] = None
 
 
 @dataclass(frozen=True)
@@ -65,73 +64,61 @@ class MetadataSummary:
     era_counts: dict[str, int]
 
 
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
-    if data.startswith(b"\xef\xbb\xbf"):
-        data = data[3:]
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+def load_metadata(root: str | Path) -> dict[str, DocumentMeta]:
+    """Metadata by document path, from ``root/metadata.tsv`` if it exists.
 
-
-def _load_sidecar(root: Path) -> dict[str, DocumentMeta]:
-    sidecar = root / "metadata.tsv"
+    A header line names the columns; each later non-blank line holds one
+    document's tab-separated cells, taken literally (no quoting).
+    """
+    sidecar = Path(root) / "metadata.tsv"
     if not sidecar.exists():
         return {}
-    metas: dict[str, DocumentMeta] = {}
-    reader = csv.DictReader(io.StringIO(_read_text(sidecar), newline=""), delimiter="\t")
+    # lines end at \n, \r\n or \r, as in record files
+    lines = read_text(sidecar, CorpusError).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    columns = lines[0].split("\t")
     required = {"file", "title", "author", "gender", "state", "year"}
-    try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CorpusError(f"{sidecar}: header must contain columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            fname = (row["file"] or "").strip()
-            if not fname:
-                raise CorpusError(f"{sidecar}:{lineno}: empty file column")
-            year_cell = (row["year"] or "").strip()
-            try:
-                year = int(year_cell) if year_cell else None
-            except ValueError:
-                raise CorpusError(f"{sidecar}:{lineno}: bad year {year_cell!r}") from None
-            metas[fname] = DocumentMeta(
-                title=unicodedata.normalize("NFC", (row["title"] or "").strip()),
-                author=unicodedata.normalize("NFC", (row["author"] or "").strip()),
-                gender=(row["gender"] or "").strip().lower() or "unknown",
-                native_state=unicodedata.normalize("NFC", (row["state"] or "").strip()) or "unknown",
-                year=year,
-            )
-    except csv.Error as exc:
-        raise CorpusError(f"{sidecar}:{reader.reader.line_num}: {exc}") from None
+    if not required.issubset(columns):
+        raise CorpusError(f"{sidecar}: header must contain columns {sorted(required)}")
+    metas: dict[str, DocumentMeta] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = [cell.strip() for cell in line.split("\t")]
+        row = dict(zip(columns, cells + [""] * len(columns)))  # missing cells are empty
+        if not row["file"]:
+            raise CorpusError(f"{sidecar}:{lineno}: empty file column")
+        try:
+            year = int(row["year"]) if row["year"] else None
+        except ValueError:
+            raise CorpusError(f"{sidecar}:{lineno}: bad year {row['year']!r}") from None
+        metas[row["file"]] = DocumentMeta(
+            title=unicodedata.normalize("NFC", row["title"]),
+            author=unicodedata.normalize("NFC", row["author"]),
+            gender=row["gender"].lower() or "unknown",
+            native_state=unicodedata.normalize("NFC", row["state"]) or "unknown",
+            year=year,
+        )
     return metas
 
 
 def load_corpus(root: str | Path, id: str) -> CorpusSource:
-    """Load every ``*.txt`` under ``root`` in lexicographic path order.
-
-    Metadata comes from an optional ``metadata.tsv`` sidecar; files without a
-    row load with no metadata.
-    """
+    """Load every ``*.txt`` under ``root`` in lexicographic path order."""
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
     paths = sorted(p for p in root.rglob("*.txt") if p.is_file())
     if not paths:
         raise CorpusError(f"no .txt files under {root}")
-    metas = _load_sidecar(root)
     documents = tuple(
-        Document(
-            path=str(p.relative_to(root)),
-            raw_text=_read_text(p),
-            meta=metas.get(str(p.relative_to(root))),
-        )
+        Document(path=str(p.relative_to(root)), raw_text=read_text(p, CorpusError))
         for p in paths
     )
     return CorpusSource(id=id, name=id, domain_label="", documents=documents)
 
 
-def metadata_summary(corpus: CorpusSource) -> MetadataSummary:
-    metas = [doc.meta or DocumentMeta() for doc in corpus.documents]
+def metadata_summary(corpus: CorpusSource, metadata: dict[str, DocumentMeta]) -> MetadataSummary:
+    """Summary over the corpus's documents; one without metadata counts as unknown."""
+    metas = [metadata.get(doc.path, DocumentMeta()) for doc in corpus.documents]
     total = len(metas)
     gender_counts = Counter(meta.gender for meta in metas)
     return MetadataSummary(

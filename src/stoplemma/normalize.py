@@ -2,8 +2,9 @@
 
 All downstream counting and lexicon lookup assumes NFC-normalized text, so
 normalization happens once, up front, and everything else operates on its
-output.  Record files (lexicons, lists, mappings, ranked tables) are read
-here too, by ``read_records``; ``write_json`` writes every JSON output.
+output.  Every input file is decoded here, as UTF-8 less a leading BOM, by
+``read_text`` or, for record files, ``read_records``; ``write_json`` writes
+every JSON output.
 """
 
 from __future__ import annotations
@@ -152,17 +153,26 @@ def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()
     return [t for t in tokens if policy.keeps(t.kind)]
 
 
+def read_text(path: str | Path, error: type[Exception] = ValueError) -> str:
+    """A UTF-8 file's text less a leading BOM; ``error`` names a bad byte's offset in the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+
+
 def read_records(
     path: str | Path, fields: int, error: type[Exception] = ValueError
 ) -> Iterator[tuple[int, list[str]]]:
     """``(lineno, fields)`` for each record of a UTF-8, tab-separated line file.
 
-    Lines are NFC-normalized and stripped.  Blank lines and ``#`` lines
-    without a tab are skipped; every other line must hold exactly ``fields``
-    non-empty fields, else ``error`` names ``path:lineno``; so does bad UTF-8.
+    A leading BOM is dropped; lines are NFC-normalized and stripped.  Blank
+    lines and ``#`` lines without a tab are skipped; every other line must
+    hold exactly ``fields`` non-empty fields, else ``error`` names
+    ``path:lineno``; so does bad UTF-8.
     """
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = unicodedata.normalize("NFC", line.strip())
                 if not line or (line.startswith("#") and "\t" not in line):

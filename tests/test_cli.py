@@ -406,16 +406,78 @@ class TestUnreadableInputs:
         assert f"{bad}:2: invalid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_oversized_metadata_field(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "a.txt").write_text("घर", encoding="utf-8")
-        (corpus / "metadata.tsv").write_text(
-            "file\ttitle\tauthor\tgender\tstate\tyear\n"
-            f"a.txt\t{'क' * 131073}\tलेखक\tfemale\tराज्य\t1950\n", encoding="utf-8")
-        assert run(["freq", "--corpus", f"c={corpus}", "--out", tmp_path / "out"]) == 1
-        assert f"{corpus / 'metadata.tsv'}:2: field larger than field limit" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+
+def outputs_but_provenance(out):
+    return {name: data for name, data in tree_bytes(out).items() if name != "provenance.json"}
+
+
+@pytest.mark.parametrize("command", ["freq", "induce"])
+@pytest.mark.parametrize("sidecar", [
+    b"file\ttitle\na.txt\tx\n",
+    "file\ttitle\tauthor\tgender\tstate\tyear\n"
+    f"a.txt\t{'क' * 131073}\tलेखक\tfemale\tराज्य\t1950\n".encode(),
+    b"file\ttitle\tauthor\tgender\tstate\tyear\na.txt\t\xff\t\tmale\t\t\n",
+], ids=["bad-header", "oversized-cell", "invalid-utf8"])
+def test_freq_and_induce_ignore_a_malformed_metadata_tsv(tmp_path, demo_args, command, sidecar):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("राम घर गया। वह घर में है।", encoding="utf-8")
+    argv = [command, "--corpus", f"c={corpus}", "--lexicon", demo_args["lexicon"]]
+    if command == "induce":
+        argv += ["--stoplist", demo_args["stoplists"][0]]
+    assert run([*argv, "--out", tmp_path / "plain"]) == 0
+    (corpus / "metadata.tsv").write_bytes(sidecar)
+    assert run([*argv, "--out", tmp_path / "with_sidecar"]) == 0
+    assert outputs_but_provenance(tmp_path / "with_sidecar") == \
+        outputs_but_provenance(tmp_path / "plain")
+
+
+def _with_note(name, lead):
+    """A bundled record file's records, with a ``#`` line first or after the first record."""
+    records = [line for line in data_path(name).read_text(encoding="utf-8").splitlines()
+               if not line.startswith("#")]
+    records.insert(0 if lead == "comment" else 1, "# note")
+    return "\n".join(records) + "\n"
+
+
+def _bom_inputs(path, demo_args, lead):
+    """Each input kind: its text without a BOM, and argv of a command reading it from ``path``."""
+    ranked = [a for r in demo_args["ranked"] for a in ("--ranked", r)]
+    corpus = ["--corpus", demo_args["corpus"]]
+    lexicon = ["--lexicon", demo_args["lexicon"]]
+    return {
+        "lexicon": (_with_note("demo_lexicon.tsv", lead), ["freq", *corpus, "--lexicon", path]),
+        "stoplist": (_with_note("demo_stoplists/list1.txt", lead),
+                     ["induce", "--stoplist", f"s={path}", *corpus, *lexicon]),
+        "list": (_with_note("table5_stoplemmas.txt", lead),
+                 ["assess", "--mapping", data_path("english_hindi_mapping.tsv"), "--list", path,
+                  *lexicon]),
+        "mapping": (_with_note("english_hindi_mapping.tsv", lead),
+                    ["assess", "--mapping", path, "--list", data_path("table5_stoplemmas.txt"),
+                     *lexicon]),
+        "pos-lexicon": (_with_note("demo_pos_lexicon.tsv", lead),
+                        ["posstats", *ranked, "--pos-lexicon", path]),
+        "ranked": (_with_note("table3_top10/LR12.tsv", lead),
+                   ["overlap", "--ranked", f"first={path}", *ranked[2:], "--k", "3"]),
+        "config": (json.dumps({"k": 3}), ["--config", path, "overlap", *ranked]),
+    }
+
+
+@pytest.mark.parametrize("kind, lead", [
+    *((kind, lead) for kind in ("lexicon", "stoplist", "list", "mapping", "pos-lexicon", "ranked")
+      for lead in ("comment", "record")),
+    ("config", "json"),
+])
+def test_leading_bom_changes_no_output(tmp_path, demo_args, kind, lead):
+    """A BOM before the first line, a comment or a record, is dropped from every input file."""
+    text, argv = _bom_inputs(tmp_path / "input", demo_args, lead)[kind]
+    trees = []
+    for prefix in ("", "\ufeff"):
+        (tmp_path / "input").write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / f"out{len(trees)}"
+        assert run([*argv, "--out", out]) == 0
+        trees.append(outputs_but_provenance(out))
+    assert trees[0] == trees[1]
 
 
 def test_provenance_names_inputs(tmp_path, demo_args):

@@ -2,7 +2,8 @@
 
 One input file at a time is replaced by arbitrary bytes; every other input of
 the command stays valid.  ``main`` must return 0, 1 or 2, and a nonzero return
-must leave no ``--out`` tree behind.
+must leave no ``--out`` tree behind.  ``metadata.tsv``, which no subcommand
+reads, is fuzzed through ``load_metadata`` instead.
 """
 
 import json
@@ -12,10 +13,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stoplemma.cli import main
+from stoplemma.corpus import CorpusError, load_metadata
 
 VALID = {
     "doc": "राम घर गया। वह घर में है। abc 12 १२\n",
-    "metadata": "file\ttitle\tauthor\tgender\tstate\tyear\ndoc.txt\tकथा\tलेखक\tfemale\tराज्य\t1950\n",
     "lexicon": "गया\tजा\nहै\tहो\n",
     "stoplist": "का\nहै\nमें\n",
     "ranked": "घर\t9\nहै\t7\nका\t5\nमें\t3\nवह\t1\n",
@@ -27,7 +28,6 @@ VALID = {
 
 FILES = {
     "doc": "corpus/doc.txt",
-    "metadata": "corpus/metadata.tsv",
     "lexicon": "lexicon.tsv",
     "stoplist": "stop.txt",
     "ranked": "a.tsv",
@@ -44,7 +44,6 @@ def commands(d: Path) -> dict:
     corpus = ["--corpus", f"c={d / 'corpus'}", "--lexicon", d / "lexicon.tsv"]
     return {
         "doc": ["induce", "--stoplist", f"s={d / 'stop.txt'}", *corpus, "--k-b", "3"],
-        "metadata": ["freq", *corpus],
         "lexicon": ["freq", *corpus],
         "stoplist": ["induce", "--stoplist", f"s={d / 'stop.txt'}", *corpus],
         "ranked": ["posstats", *ranked, "--pos-lexicon", d / "pos.tsv"],
@@ -65,6 +64,11 @@ CONFIG = st.dictionaries(
               st.lists(st.text(max_size=5), max_size=2)),
 ).map(json.dumps)
 CONTENT = st.one_of(st.binary(max_size=200), (TEXT | CONFIG).map(lambda s: s.encode("utf-8")))
+METADATA = st.one_of(
+    st.binary(max_size=200),
+    TEXT.map(lambda s: s.encode("utf-8")),
+    TEXT.map(lambda s: ("file\ttitle\tauthor\tgender\tstate\tyear\n" + s).encode("utf-8")),
+)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -82,3 +86,15 @@ def test_any_single_input_file_ends_in_an_exit_code(kind, content):
         assert rc in (0, 1, 2)
         if rc:
             assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=METADATA)
+def test_load_metadata_returns_a_dict_or_raises_corpus_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "metadata.tsv").write_bytes(content)
+        try:
+            metas = load_metadata(tmp)
+        except CorpusError:
+            return
+        assert isinstance(metas, dict)
