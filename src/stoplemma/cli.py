@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -58,6 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputSpecError(f"{self.prog}: {message}")
+
+
+def _path(text: str) -> str:
+    """A path option's value; the empty string names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
@@ -119,7 +127,7 @@ def _load_lexicon_arg(args) -> lemma_mod.LemmaLexicon:
 
 
 # Each cmd_* checks its inputs and computes; it returns the input paths and
-# a writer per output file name.  main() writes them and the provenance.
+# a writer per output file name.  main() adds the provenance and writes them.
 
 def cmd_freq(args) -> tuple[list[str], dict]:
     corpora = _id_paths(args.corpus, "--corpus")
@@ -223,6 +231,23 @@ def cmd_assess(args) -> tuple[list[str], dict]:
     }
 
 
+def _write_outputs(out: Path, outputs: dict) -> None:
+    """Write every output into a staging folder, then move them into ``out``.
+
+    A failed writer leaves ``out`` as it was.  The folder is made in ``out`` if it
+    exists, else in its nearest existing ancestor, so that each move is a rename.
+    """
+    base = out.absolute()
+    while not base.is_dir():
+        base = base.parent
+    with tempfile.TemporaryDirectory(prefix=".stoplemma-", dir=base) as stage:
+        for name, write in outputs.items():
+            write(Path(stage, name))
+        out.mkdir(parents=True, exist_ok=True)
+        for name in outputs:
+            Path(stage, name).replace(out / name)
+
+
 def _param_dict(args) -> dict:
     skip = {"func", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -241,59 +266,50 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stoplemma", description="Hindi stop-lemma toolkit")
-    parser.add_argument("--config", help="JSON config file; command-line flags win")
+    parser.add_argument("--config", type=_path, help="JSON config file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("freq", help="word/lemma frequency tables")
     p.add_argument("--corpus", action="append", metavar="ID=PATH")
-    p.add_argument("--lexicon", help="surface<TAB>lemma TSV")
+    p.add_argument("--lexicon", type=_path, help="surface<TAB>lemma TSV")
     _add_policy_flags(p)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("induce", help="induce a stop-lemma list")
     p.add_argument("--stoplist", action="append", metavar="ID=PATH")
     p.add_argument("--corpus", action="append", metavar="ID=PATH")
-    p.add_argument("--lexicon")
+    p.add_argument("--lexicon", type=_path)
     p.add_argument("--k-a", type=int, default=induce_mod.DEFAULT_K)
     p.add_argument("--k-b", type=int, default=induce_mod.DEFAULT_K)
     _add_policy_flags(p)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("overlap", help="top-k overlap across ranked lists")
     p.add_argument("--ranked", action="append", metavar="ID=PATH")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("posstats", help="POS-group vs. rank correlation")
     p.add_argument("--ranked", action="append", metavar="ID=PATH")
-    p.add_argument("--pos-lexicon", help="item<TAB>tag TSV")
+    p.add_argument("--pos-lexicon", type=_path, help="item<TAB>tag TSV")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--use-frequency", action="store_true",
                    help="correlate against raw frequency instead of rank")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_posstats)
 
     p = sub.add_parser("assess", help="coverage of a stop-lemma list")
-    p.add_argument("--mapping", help="external<TAB>hindi TSV")
-    p.add_argument("--lexicon")
-    p.add_argument("--list", help="one lemma per line")
-    p.add_argument("--out")
+    p.add_argument("--mapping", type=_path, help="external<TAB>hindi TSV")
+    p.add_argument("--lexicon", type=_path)
+    p.add_argument("--list", type=_path, help="one lemma per line")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_assess)
 
     return parser
-
-
-def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _suppress_defaults(sub)
-        elif action.dest != "help":
-            action.default = argparse.SUPPRESS
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -308,7 +324,7 @@ def _config_value(action: argparse.Action, key: str, value):
         # via str(), so that 2.5 is no more an int than "2.5" is
         try:
             return action.type(str(value)) if action.type else value
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             pass
     raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {action.option_strings[0]}")
 
@@ -324,18 +340,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         raise InputSpecError(f"{args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise InputSpecError(f"{args.config}: config must be a JSON object")
-    # find which options were given explicitly: reparse with all defaults
-    # suppressed, then let config fill only the rest (flags win)
-    bare = build_parser()
-    _suppress_defaults(bare)
-    explicit = vars(bare.parse_args(argv))
+    # checked values become defaults, so flags win; a repeatable flag appends to its default
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions if a.dest != "help"}
+    sub = subparsers.choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in explicit and dest in actions:
-            setattr(args, dest, _config_value(actions[dest], key, value))
-    return args
+        if dest in actions:
+            value = _config_value(actions[dest], key, value)
+            if not (isinstance(actions[dest], argparse._AppendAction) and getattr(args, dest)):
+                sub.set_defaults(**{dest: value})
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -347,15 +362,12 @@ def main(argv: list[str] | None = None) -> int:
             flags = ", ".join("--" + n.replace("_", "-") for n in missing)
             raise InputSpecError(f"missing required option(s): {flags} (flag or config file)")
         inputs, outputs = args.func(args)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, write in outputs.items():
-            write(outdir / name)
-        write_json({
+        outputs["provenance.json"] = partial(write_json, {
             "command": args.command,
             "parameters": _param_dict(args),
             "inputs": {p: _hash_tree(Path(p)) for p in sorted(set(inputs))},
-        }, outdir / "provenance.json")
+        })
+        _write_outputs(Path(args.out), outputs)
         return EXIT_OK
     except (ComputeError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -
         tokens.update(chunk.split())
     counts: Counter = Counter()
     for token, n in tokens.items():
-        for surface in scan_surfaces(unicodedata.normalize("NFC", token), policy):
+        for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
             counts[surface] += n
     for surface in list(counts):
         if not policy.keeps(token_kind(surface)):

@@ -26,7 +26,7 @@ _WORD_CHARS = "0-9A-Za-zऀ-ॣ०-ॿ‌‍"
 _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
-_SENT_END = re.compile(r"[।॥?!.]")
+_TERMINATORS = frozenset("।॥?!.")  # each is a single-character symbol token
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # an undecodable byte under "surrogateescape"
 
 # classify's character classes; Devanagari words are U+0900–U+097F, ZWNJ, ZWJ
@@ -100,13 +100,9 @@ def token_kind(surface: str) -> TokenKind:
     return classify(surface) if _WORD_RUN.fullmatch(surface) else TokenKind.SYMBOL
 
 
-def scan_surfaces(text: str, policy: FilterPolicy = FilterPolicy()) -> list[str]:
-    """Token surfaces of normalized text, in order, unfiltered by kind.
-
-    Symbol tokens are left out when the policy drops them anyway; any other
-    kind is left for the caller to filter, once per distinct surface.
-    """
-    return (_WORD_RUN if policy.drop_symbols else _TOKEN).findall(text)
+def scan_surfaces(text: str) -> list[str]:
+    """Token surfaces of normalized text, in order, unfiltered by kind."""
+    return _TOKEN.findall(text)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -130,23 +126,15 @@ def split_sentences(text: str) -> list[Sentence]:
     """
     sentences = []
     start = 0
-    for m in _SENT_END.finditer(text):
-        end = m.end()
-        _append_sentence(sentences, text, start, end)
-        start = end
-    _append_sentence(sentences, text, start, len(text))
+    tokens: list[Token] = []
+    for token in tokenize(text):
+        tokens.append(token)
+        if token.surface in _TERMINATORS:
+            sentences.append(Sentence(tokens=tuple(tokens), span=(start, token.span[1])))
+            start, tokens = token.span[1], []
+    if tokens:
+        sentences.append(Sentence(tokens=tuple(tokens), span=(start, len(text))))
     return sentences
-
-
-def _append_sentence(acc: list[Sentence], text: str, start: int, end: int) -> None:
-    segment = text[start:end]
-    if not segment.strip():
-        return
-    tokens = tuple(
-        Token(t.surface, t.kind, (t.span[0] + start, t.span[1] + start))
-        for t in tokenize(segment)
-    )
-    acc.append(Sentence(tokens=tokens, span=(start, end)))
 
 
 def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()) -> list[Token]:

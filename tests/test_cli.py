@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import stoplemma
 from stoplemma import data_path
+from stoplemma import freq as freq_mod
 from stoplemma.cli import main
 
 
@@ -305,11 +307,12 @@ class TestConfigFile:
         ("ranked", "a=a.tsv"),
         ("ranked", [1, 2]),
         ("out", 7),
+        ("pos_lexicon", 7),  # --pos-lexicon is given as a flag too
     ])
     def test_bad_value_exits_1_naming_the_key(self, tmp_path, capsys, demo_args, key, value):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
-        # every other option comes as a flag, since flags win over the config
+        # every other option comes as a flag; a flag does not excuse a bad config value
         flags = {"ranked": demo_args["ranked"][:3], "out": [tmp_path / "out"],
                  "pos-lexicon": [data_path("demo_pos_lexicon.tsv")]}
         flags.pop(key, None)
@@ -317,6 +320,15 @@ class TestConfigFile:
         assert run(["--config", config, "posstats", *argv]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_a_repeatable_flag_replaces_the_config_list(self, tmp_path, demo_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ranked": demo_args["ranked"][:2]}), encoding="utf-8")
+        out = tmp_path / "out"
+        given = demo_args["ranked"][2:4]
+        assert run(["--config", config, "overlap", "--ranked", given[0], "--ranked", given[1],
+                    "--out", out]) == 0
+        assert json.loads((out / "provenance.json").read_text())["parameters"]["ranked"] == given
 
 
 class TestUsageErrors:
@@ -367,6 +379,73 @@ class TestIdPathSpecs:
         assert run([*argv, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith(f"error: --{kind.split('-')[0]} ID")
         assert not (tmp_path / "out").exists()
+
+
+class TestNoPartialOutput:
+    def test_an_id_too_long_for_a_file_name_leaves_no_out(self, tmp_path, capsys, demo_args):
+        corpus = demo_args["corpus"].partition("=")[2]
+        assert run(["freq", "--corpus", f"ok={corpus}", "--corpus", f"{'x' * 250}={corpus}",
+                    "--out", tmp_path / "out"]) == 1
+        assert "File name too long" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_writer_changes_no_out(self, tmp_path, monkeypatch, demo_args):
+        out = tmp_path / "out"
+        argv = ["freq", "--corpus", demo_args["corpus"], "--out", out]
+
+        def full_disk(tables, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(freq_mod, "write_report", full_disk)
+        assert run(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        # an existing --out keeps every file a run does not write; a failed run changes none
+        out.mkdir()
+        (out / "keep.txt").write_text("keep", encoding="utf-8")
+        (out / "words_demo.tsv").write_text("stale", encoding="utf-8")
+        assert run(argv) == 1
+        assert tree_bytes(out) == {"keep.txt": b"keep", "words_demo.tsv": b"stale"}
+        assert len(list(out.iterdir())) == 2
+        monkeypatch.undo()
+        assert run(argv) == 0
+        tree = tree_bytes(out)
+        assert tree["keep.txt"] == b"keep"
+        assert tree["words_demo.tsv"] != b"stale"
+        assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("option, source", [
+    *((option, source) for option in ("lexicon", "out", "pos-lexicon", "mapping", "list")
+      for source in ("flag", "config")),
+    ("config", "flag"),
+])
+def test_an_empty_path_exits_1_naming_the_option(tmp_path, monkeypatch, capsys, demo_args,
+                                                 option, source):
+    ranked = ["--ranked", demo_args["ranked"][0]]
+    argv = {
+        "lexicon": ["freq", "--corpus", demo_args["corpus"]],
+        "out": ["overlap", *ranked],
+        "pos-lexicon": ["posstats", *ranked],
+        "mapping": ["assess", "--list", data_path("table5_stoplemmas.txt")],
+        "list": ["assess", "--mapping", data_path("english_hindi_mapping.tsv")],
+        "config": ["freq", "--corpus", demo_args["corpus"]],
+    }[option]
+    if option != "out":
+        argv += ["--out", tmp_path / "out"]
+    if source == "flag":
+        argv = [f"--{option}", "", *argv] if option == "config" else [*argv, f"--{option}", ""]
+        named = f"--{option}"
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({option: ""}), encoding="utf-8")
+        argv = ["--config", tmp_path / "cfg.json", *argv]
+        named = repr(option)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert list(cwd.iterdir()) == []
 
 
 class TestUnreadableInputs:

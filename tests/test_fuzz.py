@@ -2,15 +2,16 @@
 
 One input file at a time is replaced by arbitrary bytes; every other input of
 the command stays valid.  ``main`` must return 0, 1 or 2, and a nonzero return
-must leave no ``--out`` tree behind.  ``metadata.tsv``, which no subcommand
-reads, is fuzzed through ``load_metadata`` instead.
+must leave no ``--out`` tree behind.  The same holds for any list of
+``ID=PATH`` specs.  ``metadata.tsv``, which no subcommand reads, is fuzzed
+through ``load_metadata`` instead.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stoplemma.cli import main
 from stoplemma.corpus import CorpusError, load_metadata
@@ -83,6 +84,50 @@ def test_any_single_input_file_ends_in_an_exit_code(kind, content):
         (d / FILES[kind]).write_bytes(content)
         out = d / "out"
         rc = main([str(a) for a in (*commands(d)[kind], "--out", out)])
+        assert rc in (0, 1, 2)
+        if rc:
+            assert not out.exists()
+
+
+# ID=PATH specs: IDs empty, dotted, holding "/", "=" or NUL, or 300 characters
+# long; paths valid, empty, missing, an empty file or folder, holding NUL or
+# too long for a file name; or a spec with no "=" at all
+SPEC_IDS = st.one_of(
+    st.sampled_from(["", ".", "..", "a", "b", "a/b", "../a", "a=b", "a\0b"]),
+    st.just("x" * 300),
+    st.text(alphabet="ab./=\0", max_size=4),
+)
+SPEC_PATHS = st.one_of(st.just("valid"), st.sampled_from(
+    ["", "missing", "empty-file", "empty-folder", "nul", "long", "no-equals"]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(option="corpus", specs=[("a", "valid"), ("x" * 300, "valid")])
+@given(option=st.sampled_from(["corpus", "stoplist", "ranked"]),
+       specs=st.lists(st.tuples(SPEC_IDS, SPEC_PATHS), min_size=1, max_size=3))
+def test_any_id_path_spec_ends_in_an_exit_code(option, specs):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "corpus").mkdir()
+        (d / "empty-folder").mkdir()
+        for name, rel in FILES.items():
+            (d / rel).write_text(VALID[name], encoding="utf-8")
+        (d / "empty-file").write_bytes(b"")
+        paths = {
+            "valid": d / {"corpus": "corpus", "stoplist": "stop.txt", "ranked": "a.tsv"}[option],
+            "": "",
+            "missing": d / "missing",
+            "empty-file": d / "empty-file",
+            "empty-folder": d / "empty-folder",
+            "nul": d / "a\0b",
+            "long": d / ("y" * 300),
+        }
+        argv = {"corpus": ["freq"], "stoplist": ["induce", "--corpus", f"c={d / 'corpus'}"],
+                "ranked": ["overlap"]}[option]
+        for ident, where in specs:
+            argv += [f"--{option}", ident if where == "no-equals" else f"{ident}={paths[where]}"]
+        out = d / "out"
+        rc = main([*argv, "--out", str(out)])
         assert rc in (0, 1, 2)
         if rc:
             assert not out.exists()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoplemma.normalize import (
     FilterPolicy,
+    Sentence,
     Token,
     TokenKind,
     classify,
@@ -157,6 +158,29 @@ class TestSplitSentences:
         for i in range(len(text)):
             if i not in in_spans:
                 assert text[i] == " "
+
+
+def previous_split_sentences(text):
+    """The per-segment rule that the one-pass ``split_sentences`` replaced."""
+    sentences = []
+    start = 0
+    for end in [m.end() for m in re.finditer(r"[।॥?!.]", text)] + [len(text)]:
+        segment = text[start:end]
+        if segment.strip():
+            tokens = tuple(Token(t.surface, t.kind, (t.span[0] + start, t.span[1] + start))
+                           for t in tokenize(segment))
+            sentences.append(Sentence(tokens=tokens, span=(start, end)))
+        start = end
+    return sentences
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.one_of(CLASSIFY_ALPHABET, st.sampled_from("।॥?!. \t\n\xa0\x1c ")),
+               max_size=40),
+       st.booleans())
+def test_split_sentences_matches_the_previous_rule(raw, nfc):
+    text = normalize_text(raw) if nfc else raw
+    assert split_sentences(text) == previous_split_sentences(text)
 
 
 class TestFilterTokens:
