@@ -104,10 +104,9 @@ def _hash_tree(path: Path) -> str:
     if path.is_file():
         return _sha256(path)
     h = hashlib.sha256()
-    for p in sorted(path.rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(path)).encode())
-            h.update(_sha256(p).encode())
+    for p in corpus_mod.document_paths(path):
+        h.update(str(p.relative_to(path)).encode())
+        h.update(_sha256(p).encode())
     return h.hexdigest()
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .normalize import read_text
+from .normalize import read_text, split_lines
 
 INDEPENDENCE_YEAR = 1947
 GENDERS = ("male", "female", "unknown")
@@ -73,8 +73,7 @@ def load_metadata(root: str | Path) -> dict[str, DocumentMeta]:
     sidecar = Path(root) / "metadata.tsv"
     if not sidecar.exists():
         return {}
-    # lines end at \n, \r\n or \r, as in record files
-    lines = read_text(sidecar, CorpusError).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = split_lines(read_text(sidecar, CorpusError))
     columns = lines[0].split("\t")
     required = {"file", "title", "author", "gender", "state", "year"}
     if not required.issubset(columns):
@@ -101,12 +100,19 @@ def load_metadata(root: str | Path) -> dict[str, DocumentMeta]:
     return metas
 
 
+def document_paths(root: str | Path) -> list[Path]:
+    """A corpus's documents: every ``*.txt`` file under ``root``, sorted."""
+    return sorted(p for p in Path(root).rglob("*.txt") if p.is_file())
+
+
 def load_corpus(root: str | Path, id: str) -> CorpusSource:
-    """Load every ``*.txt`` under ``root`` in lexicographic path order."""
+    """Load ``document_paths(root)`` in that order; no other file under ``root`` is read."""
     root = Path(root)
-    if not root.is_dir():
+    if not root.exists():
         raise CorpusError(f"corpus directory not found: {root}")
-    paths = sorted(p for p in root.rglob("*.txt") if p.is_file())
+    if not root.is_dir():
+        raise CorpusError(f"corpus path is not a directory: {root}")
+    paths = document_paths(root)
     if not paths:
         raise CorpusError(f"no .txt files under {root}")
     documents = tuple(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .normalize import read_records
+from .normalize import read_pairs
 
 
 class LexiconError(ValueError):
@@ -34,19 +34,8 @@ EMPTY_LEXICON = LemmaLexicon(entries={})
 
 
 def load_lexicon(path: str | Path) -> LemmaLexicon:
-    """Parse a UTF-8 TSV of ``surface<TAB>lemma`` lines.
-
-    ``#`` comments and blank lines are skipped.  A surface mapped to two
-    different lemmas is an error; repeating an identical pair is not.
-    """
-    entries: dict[str, str] = {}
-    for lineno, (surface, lemma) in read_records(path, 2, LexiconError):
-        if entries.setdefault(surface, lemma) != lemma:
-            raise LexiconError(
-                f"{path}:{lineno}: conflicting lemma for {surface!r}: "
-                f"{entries[surface]!r} vs {lemma!r}"
-            )
-    return LemmaLexicon(entries=entries)
+    """Parse a UTF-8 TSV of ``surface<TAB>lemma`` records with ``read_pairs``."""
+    return LemmaLexicon(entries=read_pairs(path, LexiconError))
 
 
 def lemmatize_phrase(phrase: str, lex: LemmaLexicon) -> str:

@@ -3,7 +3,7 @@
 All downstream counting and lexicon lookup assumes NFC-normalized text, so
 normalization happens once, up front, and everything else operates on its
 output.  Every input file is decoded here, as UTF-8 less a leading BOM, by
-``read_text`` or, for record files, ``read_records``; ``write_json`` writes
+``read_text``, and split into lines by ``split_lines``; ``write_json`` writes
 every JSON output.
 """
 
@@ -27,7 +27,6 @@ _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
 _TERMINATORS = frozenset("।॥?!.")  # each is a single-character symbol token
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # an undecodable byte under "surrogateescape"
 
 # classify's character classes; Devanagari words are U+0900–U+097F, ZWNJ, ZWJ
 _ASCII_DIGITS = frozenset(string.digits)
@@ -141,41 +140,49 @@ def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()
     return [t for t in tokens if policy.keeps(t.kind)]
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text``, broken only at ``\\n``, ``\\r\\n`` and ``\\r``, unlike ``str.splitlines``."""
+    return io.StringIO(text, newline=None).read().split("\n")
+
+
 def read_text(path: str | Path, error: type[Exception] = ValueError) -> str:
-    """A UTF-8 file's text less a leading BOM; ``error`` names a bad byte's offset in the file."""
+    """A UTF-8 file's text less a leading BOM; ``error`` names a bad byte's line and file offset."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+        lineno = len(split_lines(data[:exc.start].decode("utf-8")))
+        raise error(f"{path}:{lineno}: invalid UTF-8 at byte offset {exc.start}") from None
 
 
 def read_records(
     path: str | Path, fields: int, error: type[Exception] = ValueError
 ) -> Iterator[tuple[int, list[str]]]:
-    """``(lineno, fields)`` for each record of a UTF-8, tab-separated line file.
+    """``(lineno, fields)`` for each tab-separated record of a file ``read_text`` decodes whole.
 
-    A leading BOM is dropped; lines are NFC-normalized and stripped.  Blank
-    lines and ``#`` lines without a tab are skipped; every other line must
-    hold exactly ``fields`` non-empty fields, else ``error`` names
-    ``path:lineno``; so does bad UTF-8.
+    Lines are NFC-normalized and stripped.  Blank lines and ``#`` lines
+    without a tab are skipped; every other line must hold exactly ``fields``
+    non-empty fields, else ``error`` names ``path:lineno``.
     """
-    try:
-        with Path(path).open(encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = unicodedata.normalize("NFC", line.strip())
-                if not line or (line.startswith("#") and "\t" not in line):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != fields or not all(parts):
-                    raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
-                                f"field(s), got {line!r}")
-                yield lineno, parts
-    except UnicodeDecodeError:
-        # the decoder reads ahead of the line it returns: count the lines before the bad byte
-        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
-        head = _ESCAPED_BYTE.split(text, maxsplit=1)[0]
-        lineno = io.StringIO(head, newline=None).read().count("\n") + 1
-        raise error(f"{path}:{lineno}: invalid UTF-8") from None
+    for lineno, line in enumerate(split_lines(read_text(path, error)), start=1):
+        line = unicodedata.normalize("NFC", line.strip())
+        if not line or (line.startswith("#") and "\t" not in line):
+            continue
+        parts = line.split("\t")
+        if len(parts) != fields or not all(parts):
+            raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
+                        f"field(s), got {line!r}")
+        yield lineno, parts
+
+
+def read_pairs(path: str | Path, error: type[Exception] = ValueError) -> dict[str, str]:
+    """``key -> value`` of two-field records; a key given a second, different value is an error."""
+    pairs: dict[str, str] = {}
+    for lineno, (key, value) in read_records(path, 2, error):
+        if pairs.setdefault(key, value) != value:
+            raise error(f"{path}:{lineno}: conflicting value for {key!r}: "
+                        f"{pairs[key]!r} vs {value!r}")
+    return pairs
 
 
 def write_json(payload: object, path: str | Path) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .freq import FrequencyTable, RankedList, rank_items, top_k, write_tsv
-from .normalize import read_records, write_json
+from .normalize import read_pairs, write_json
 
 
 class UndefinedCorrelationError(ValueError):
@@ -90,7 +90,7 @@ class CorrelationReport:
 
 
 def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    return PosLexicon(tags={item: tag for _, (item, tag) in read_records(path, 2)})
+    return PosLexicon(tags=read_pairs(path))
 
 
 def top_k_overlap(lists: Sequence[RankedList], k: int, source_ids: Sequence[str] | None = None) -> OverlapReport:

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -557,6 +558,32 @@ def test_leading_bom_changes_no_output(tmp_path, demo_args, kind, lead):
         assert run([*argv, "--out", out]) == 0
         trees.append(outputs_but_provenance(out))
     assert trees[0] == trees[1]
+
+
+def test_pos_lexicon_giving_an_item_two_tags_exits_1(tmp_path, capsys, demo_args):
+    pos = tmp_path / "pos.tsv"
+    pos.write_text("का\tPSP\nका\tNN\n", encoding="utf-8")
+    assert run(["posstats", *[a for r in demo_args["ranked"] for a in ("--ranked", r)],
+                "--pos-lexicon", pos, "--out", tmp_path / "out"]) == 1
+    assert f"{pos}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_hash_covers_only_its_documents(tmp_path):
+    corpus = tmp_path / "c"
+    shutil.copytree(data_path("demo_corpus"), corpus)
+    out = corpus / "out"  # from the second run on, the corpus folder holds --out
+
+    def provenance():
+        assert run(["freq", "--corpus", f"d={corpus}", "--out", out]) == 0
+        return (out / "provenance.json").read_bytes()
+
+    first = provenance()
+    assert provenance() == first
+    (corpus / "notes.md").write_text("not a document\n", encoding="utf-8")
+    assert json.loads(provenance())["inputs"] == json.loads(first)["inputs"]
+    (corpus / "extra.txt").write_text("घर\n", encoding="utf-8")
+    assert json.loads(provenance())["inputs"] != json.loads(first)["inputs"]
 
 
 def test_provenance_names_inputs(tmp_path, demo_args):

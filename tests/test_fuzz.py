@@ -2,12 +2,16 @@
 
 One input file at a time is replaced by arbitrary bytes; every other input of
 the command stays valid.  ``main`` must return 0, 1 or 2, and a nonzero return
-must leave no ``--out`` tree behind.  The same holds for any list of
-``ID=PATH`` specs.  ``metadata.tsv``, which no subcommand reads, is fuzzed
-through ``load_metadata`` instead.
+must leave no ``--out`` tree behind; the same holds for any list of ``ID=PATH``
+specs.  A replaced file that is not UTF-8 must exit 1, naming the file, the bad
+byte's line and its offset, whichever kind of input it is.  ``metadata.tsv``,
+which no subcommand reads, is fuzzed through ``load_metadata`` instead.
 """
 
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -73,6 +77,8 @@ METADATA = st.one_of(
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(kind="doc", content="राम\r\nघर\r".encode() + b"\xff")
+@example(kind="config", content=b'{"k":\n 3}\xff')
 @given(kind=st.sampled_from(sorted(FILES)), content=CONTENT)
 def test_any_single_input_file_ends_in_an_exit_code(kind, content):
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,10 +89,20 @@ def test_any_single_input_file_ends_in_an_exit_code(kind, content):
         (d / "b.tsv").write_text(VALID["ranked"], encoding="utf-8")
         (d / FILES[kind]).write_bytes(content)
         out = d / "out"
-        rc = main([str(a) for a in (*commands(d)[kind], "--out", out)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([str(a) for a in (*commands(d)[kind], "--out", out)])
         assert rc in (0, 1, 2)
         if rc:
             assert not out.exists()
+        try:
+            content.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the bad byte: one plus the line breaks before it
+            line = len(re.split(r"\r\n|\r|\n", content[:exc.start].decode("utf-8")))
+            message = f"{d / FILES[kind]}:{line}: invalid UTF-8 at byte offset {exc.start}\n"
+            assert rc == 1
+            assert message in err.getvalue()
 
 
 # ID=PATH specs: IDs empty, dotted, holding "/", "=" or NUL, or 300 characters

@@ -33,9 +33,9 @@ COMMANDS = {
 
 GOLDEN = {
     "assess": "a390e82052824ba58e91520fb2428e1f30969ff71273d732cfc834778a1dcb3d",
-    "freq": "2771d2def3c3f8cce1038fa10e56cae4faa520ce677658668b32cd459637d357",
-    "freq-symbols": "22a87c5ce04a1be5a9200f0c4b4c167148c3b9427883a578e693d3f9c9819064",
-    "induce": "4421c5700e2e5c1ce086cdb8a5c81382f66d46d6133636292939761554bbd39f",
+    "freq": "cde0af3743594971e2148349ece506d987d290ba634b960367bef3ca4cb7c643",
+    "freq-symbols": "c9a85ecbc20f686d0587bbecc4e25a2fe32ea975222eac695bd0d2109a8d07b4",
+    "induce": "d5b060080b7e33132b2f12c381604dce4f14a5f2554bb6108d57e41d4c036710",
     "overlap": "d02b6453554f0ecab2d5d5299846b5e4c3f19b6ff5888436a8b8386c73ef6606",
     "posstats": "a34b41943e7188746591111db70b989ac02041b2000755e766285582fc3ebd5d",
 }

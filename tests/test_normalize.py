@@ -236,3 +236,13 @@ class TestReadRecords:
         path.write_bytes(newline.join([b"# c", "का\t1".encode(), b"\xff\t2", b""]))
         with pytest.raises(RecordError, match=re.escape(f"{path}:3: invalid UTF-8")):
             list(read_records(path, 2, RecordError))
+
+    @pytest.mark.parametrize("padding", [10, 20000])
+    def test_bad_utf8_is_reported_before_any_record_whatever_the_file_size(self, tmp_path, padding):
+        # line 2 is malformed, but the bad byte below it is the reported error
+        head = "a\t1\nmalformed\n" + "b\t2\n" * padding
+        path = tmp_path / "r.tsv"
+        path.write_bytes(head.encode() + b"\xff\t3\n")
+        message = f"{path}:{padding + 3}: invalid UTF-8 at byte offset {len(head.encode())}"
+        with pytest.raises(RecordError, match=re.escape(message) + "$"):
+            list(read_records(path, 2, RecordError))
