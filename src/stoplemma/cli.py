@@ -151,6 +151,8 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     stoplists = _id_paths(args.stoplist, "--stoplist")
     corpora = _id_paths(args.corpus, "--corpus")
     inputs = _existing(*(p for _, p in stoplists + corpora), args.lexicon)
+    if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in corpora):
+        raise InputSpecError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 

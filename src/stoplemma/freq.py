@@ -36,7 +36,7 @@ class FrequencyTable:
 
 @dataclass(frozen=True)
 class RankedList:
-    entries: tuple[tuple[int, str, int], ...]  # (rank, item, count)
+    entries: tuple[tuple[str, int], ...]  # (item, count) in rank order; an entry's rank is its position + 1
 
 
 def _iter_chunks(text: str) -> Iterable[str]:
@@ -102,20 +102,18 @@ def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
 def rank_items(table: FrequencyTable) -> RankedList:
     """Order by descending count, breaking ties by ascending codepoint order."""
     ordered = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedList(
-        entries=tuple((rank, item, count) for rank, (item, count) in enumerate(ordered, start=1))
-    )
+    return RankedList(entries=tuple(ordered))
 
 
 def top_k(ranked: RankedList, k: int) -> list[str]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [item for _, item, _ in ranked.entries[:k]]
+    return [item for item, _ in ranked.entries[:k]]
 
 
 def write_tsv(ranked: RankedList, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for _, item, count in ranked.entries:
+        for item, count in ranked.entries:
             fh.write(f"{item}\t{count}\n")
 
 
@@ -137,9 +135,7 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
         except ValueError:  # more digits than int() converts
             raise ValueError(f"{path}:{lineno}: count has {len(count)} digits, "
                              f"more than int() accepts") from None
-    return RankedList(entries=tuple(
-        (rank, item, count) for rank, (item, count) in enumerate(counts.items(), start=1)
-    ))
+    return RankedList(entries=tuple(counts.items()))
 
 
 def write_report(tables: Sequence[FrequencyTable], path: str | Path) -> None:

@@ -28,9 +28,6 @@ class StopWordList:
 class StopLemmaList:
     lemmas: tuple[tuple[str, int], ...]  # (lemma, aggregate count), count-descending
 
-    def lemma_set(self) -> set[str]:
-        return {lemma for lemma, _ in self.lemmas}
-
     def __len__(self) -> int:
         return len(self.lemmas)
 
@@ -93,7 +90,7 @@ def build_final_list(
     if missing:
         raise InductionError(f"no aggregate count for lemmas: {missing}")
     table = FrequencyTable("lemma", {l: aggregate_counts[l] for l in common}, "aggregate")
-    return StopLemmaList(lemmas=tuple((l, n) for _, l, n in rank_items(table).entries))
+    return StopLemmaList(lemmas=rank_items(table).entries)
 
 
 def aggregate_lemma_counts(tables: Sequence[Mapping[str, int]]) -> dict[str, int]:

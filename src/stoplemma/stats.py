@@ -124,6 +124,8 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
         raise UndefinedCorrelationError("membership is constant")
     mean = sum(ranks) / n
     var = sum((x - mean) ** 2 for x in ranks) / n
+    if not math.isfinite(var):  # a sum overflowed to inf, which raises nothing
+        raise OverflowError("sum of values out of floating-point range")
     if var == 0:
         raise UndefinedCorrelationError("ranks have zero variance")
     m1 = sum(x for m, x in zip(membership, ranks) if m == 1) / n1
@@ -184,19 +186,20 @@ def pos_rank_analysis(
                                              error="fewer than 3 entries"))
                 flagged.append(sid)
                 continue
-            membership = [1 if lex.tag_of(item) in group.members else 0
-                          for _, item, _ in entries]
-            values = [float(count) if use_frequency else float(rank)
-                      for rank, _, count in entries]
+            membership = [1 if lex.tag_of(item) in group.members else 0 for item, _ in entries]
             n1 = sum(membership)
             n0 = len(membership) - n1
             try:
+                values = [float(count) if use_frequency else float(rank)
+                          for rank, (_, count) in enumerate(entries, start=1)]
                 r, p = point_biserial(membership, values)
             except UndefinedCorrelationError as exc:
                 cells.append(CorrelationCell(group.name, sid, None, None, n1, n0,
                                              error=str(exc)))
                 flagged.append(sid)
                 continue
+            except OverflowError as exc:  # a count beyond what a float holds
+                raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
             cells.append(CorrelationCell(group.name, sid, r, p, n1, n0))
             rs.append(r)
             ps.append(p)

@@ -211,6 +211,29 @@ class TestPosstatsCommand:
         assert f"depth must be >= 1, got {depth}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_use_frequency_runs(self, tmp_path, demo_args):
+        argv = ["posstats", *[a for r in demo_args["ranked"] for a in ("--ranked", r)],
+                "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--use-frequency",
+                "--out", tmp_path / "out"]
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("counts", [
+        ["9" * 200, "5", "3", "1"],  # its square overflows
+        ["9" * 400, "5", "3", "1"],  # no float holds it
+        ["9" + "0" * 307] * 3 + ["1"],  # each fits, their sum is inf
+    ])
+    def test_count_too_large_for_use_frequency_exits_1(self, tmp_path, capsys, counts):
+        ranked = tmp_path / "r.tsv"
+        ranked.write_text("".join(f"{item}\t{c}\n" for item, c in zip("abcd", counts)),
+                          encoding="utf-8")
+        pos = tmp_path / "pos.tsv"
+        pos.write_text("a\tNN\nd\tVM\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["posstats", "--ranked", f"huge={ranked}", "--pos-lexicon", pos,
+                    "--use-frequency", "--out", out]) == 1
+        assert "source huge:" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_flag_exits_1(self, tmp_path, capsys, demo_args, value):
@@ -584,6 +607,18 @@ def test_corpus_hash_covers_only_its_documents(tmp_path):
     assert json.loads(provenance())["inputs"] == json.loads(first)["inputs"]
     (corpus / "extra.txt").write_text("घर\n", encoding="utf-8")
     assert json.loads(provenance())["inputs"] != json.loads(first)["inputs"]
+
+
+@pytest.mark.parametrize("inner", ["out", ".", "docs/../out"])
+def test_induce_out_inside_a_corpus_exits_1(tmp_path, capsys, demo_args, inner):
+    corpus = tmp_path / "c"
+    shutil.copytree(data_path("demo_corpus"), corpus)
+    before = tree_bytes(corpus)
+    stoplists = [a for s in demo_args["stoplists"] for a in ("--stoplist", s)]
+    assert run(["induce", *stoplists, "--corpus", f"c={corpus}",
+                "--out", f"{corpus}/{inner}"]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert tree_bytes(corpus) == before
 
 
 def test_provenance_names_inputs(tmp_path, demo_args):

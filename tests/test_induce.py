@@ -136,7 +136,7 @@ class TestBuildFinalList:
         final = build_final_list(set_a, set_b, counts)
         expected = sorted(set_a & set_b, key=lambda l: (-counts[l], l))
         assert [l for l, _ in final.lemmas] == expected
-        assert final.lemma_set() <= set_a and final.lemma_set() <= set_b
+        assert {l for l, _ in final.lemmas} <= set_a & set_b
         assert len(final) <= min(len(set_a), len(set_b))
 
 

@@ -175,6 +175,20 @@ class TestPosRankAnalysis:
         assert cell.r == pytest.approx(pearson, abs=1e-12)
         assert cell.r < -0.5
 
+    def test_use_frequency_correlates_counts(self):
+        counts = {"का": 90, "है": 41, "वह": 40, "घर": 12, "कर": 7, "में": 3, "राम": 1}
+        ranked = ranked_from(counts)
+        lex = self.make_lex()
+        report = pos_rank_analysis([ranked], lex, use_frequency=True)
+        defined = [c for c in report.cells if c.r is not None]
+        assert defined
+        values = [float(c) for _, c in ranked.entries]
+        for cell in defined:
+            group = next(g for g in DEFAULT_GROUPS if g.name == cell.group)
+            membership = [1 if lex.tag_of(item) in group.members else 0
+                          for item, _ in ranked.entries]
+            assert (cell.r, cell.p) == point_biserial(membership, values)
+
     def test_aggregation_arithmetic(self):
         mean, sd, hi, lo = descriptive_stats([-0.1, -0.04])
         assert mean == pytest.approx(-0.07)
