@@ -36,14 +36,10 @@ EXIT_COMPUTE_ERROR = 2
 # every loader's error class is a ValueError; OSError: paths that cannot be read or written
 _INPUT_ERRORS = (OSError, ValueError)
 
-# options each subcommand needs, from a flag or the config file, besides --out
-_REQUIRED = {
-    "freq": ("corpus",),
-    "induce": ("stoplist", "corpus"),
-    "overlap": ("ranked",),
-    "posstats": ("ranked", "pos_lexicon"),
-    "assess": ("mapping", "list"),
-}
+# an option's kind: a switch, a repeatable ID=PATH, or the converter its text goes through
+SWITCH = "switch"
+IDS = "ID=PATH"
+REQUIRED = object()  # the default of an option that a flag or the config file must give
 
 
 class InputSpecError(ValueError):
@@ -66,6 +62,17 @@ def _path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("empty path")
     return text
+
+
+def _count(text: str) -> int:
+    """A count option's value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
@@ -249,123 +256,120 @@ def _write_outputs(out: Path, outputs: dict) -> None:
             Path(stage, name).replace(out / name)
 
 
-def _param_dict(args) -> dict:
-    skip = {"func", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+_CORPUS = ("--corpus", IDS, REQUIRED, "corpus folder whose *.txt files are its documents; repeatable")
+_LEXICON = ("--lexicon", _path, None, "surface<TAB>lemma TSV; a word it lacks is its own lemma")
+_POLICY = (
+    ("--keep-symbols", SWITCH, False, "retain punctuation/symbol tokens"),
+    ("--keep-latin-words", SWITCH, False, "retain Latin-script word tokens"),
+    ("--keep-latin-numbers", SWITCH, False, "retain Latin-digit number tokens"),
+    ("--drop-devanagari-digits", SWITCH, False, "drop Devanagari-digit number tokens"),
+)
+_RANKED = ("--ranked", IDS, REQUIRED, "item<TAB>count TSV in rank order, as freq writes it; repeatable")
+_OUT = ("--out", _path, REQUIRED, "output folder, made if missing")
 
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--keep-symbols", action="store_true",
-                   help="retain punctuation/symbol tokens")
-    p.add_argument("--keep-latin-words", action="store_true",
-                   help="retain Latin-script word tokens")
-    p.add_argument("--keep-latin-numbers", action="store_true",
-                   help="retain Latin-digit number tokens")
-    p.add_argument("--drop-devanagari-digits", action="store_true",
-                   help="drop Devanagari-digit number tokens")
+# subcommand: (function, help, options); an option is (flag, kind, default, help)
+COMMANDS = {
+    "freq": (cmd_freq, "word/lemma frequency tables", (_CORPUS, _LEXICON, *_POLICY, _OUT)),
+    "induce": (cmd_induce, "induce a stop-lemma list", (
+        ("--stoplist", IDS, REQUIRED, "stop word list, one entry per line; repeatable"),
+        _CORPUS, _LEXICON,
+        ("--k-a", _count, induce_mod.DEFAULT_K, "top-k prefix of each stop list (set A)"),
+        ("--k-b", _count, induce_mod.DEFAULT_K, "top-k lemmas of each corpus (set B)"),
+        *_POLICY, _OUT)),
+    "overlap": (cmd_overlap, "top-k overlap across ranked lists",
+                (_RANKED, ("--k", _count, 10, "top-k prefix of each ranked list"), _OUT)),
+    "posstats": (cmd_posstats, "POS-group vs. rank correlation", (
+        _RANKED,
+        ("--pos-lexicon", _path, REQUIRED, "item<TAB>tag TSV"),
+        ("--depth", _count, None, "correlate over the first DEPTH entries of each list, not all"),
+        ("--threshold", float, 0.5, "reject the POS hypothesis if no group's |mean r| exceeds it"),
+        ("--use-frequency", SWITCH, False, "correlate against raw frequency instead of rank"),
+        _OUT)),
+    "assess": (cmd_assess, "coverage of a stop-lemma list", (
+        ("--mapping", _path, REQUIRED, "external<TAB>hindi TSV"),
+        _LEXICON,
+        ("--list", _path, REQUIRED, "stop-lemma list, one lemma per line"),
+        _OUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stoplemma", description="Hindi stop-lemma toolkit")
     parser.add_argument("--config", type=_path, help="JSON config file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("freq", help="word/lemma frequency tables")
-    p.add_argument("--corpus", action="append", metavar="ID=PATH")
-    p.add_argument("--lexicon", type=_path, help="surface<TAB>lemma TSV")
-    _add_policy_flags(p)
-    p.add_argument("--out", type=_path)
-    p.set_defaults(func=cmd_freq)
-
-    p = sub.add_parser("induce", help="induce a stop-lemma list")
-    p.add_argument("--stoplist", action="append", metavar="ID=PATH")
-    p.add_argument("--corpus", action="append", metavar="ID=PATH")
-    p.add_argument("--lexicon", type=_path)
-    p.add_argument("--k-a", type=int, default=induce_mod.DEFAULT_K)
-    p.add_argument("--k-b", type=int, default=induce_mod.DEFAULT_K)
-    _add_policy_flags(p)
-    p.add_argument("--out", type=_path)
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("overlap", help="top-k overlap across ranked lists")
-    p.add_argument("--ranked", action="append", metavar="ID=PATH")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out", type=_path)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("posstats", help="POS-group vs. rank correlation")
-    p.add_argument("--ranked", action="append", metavar="ID=PATH")
-    p.add_argument("--pos-lexicon", type=_path, help="item<TAB>tag TSV")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--use-frequency", action="store_true",
-                   help="correlate against raw frequency instead of rank")
-    p.add_argument("--out", type=_path)
-    p.set_defaults(func=cmd_posstats)
-
-    p = sub.add_parser("assess", help="coverage of a stop-lemma list")
-    p.add_argument("--mapping", type=_path, help="external<TAB>hindi TSV")
-    p.add_argument("--lexicon", type=_path)
-    p.add_argument("--list", type=_path, help="one lemma per line")
-    p.add_argument("--out", type=_path)
-    p.set_defaults(func=cmd_assess)
-
+    for name, (_, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        # every parser default is None: an option was given exactly when its value is not None
+        for flag, kind, _, text in options:
+            if kind is SWITCH:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            elif kind is IDS:
+                p.add_argument(flag, action="append", metavar=IDS, help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text)
     return parser
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """Convert a config value as argparse converts the same option's flag."""
-    if isinstance(action, argparse._StoreTrueAction):
+def _config_value(flag: str, kind, key: str, value):
+    """Convert a config value as the parser converts the same option's flag."""
+    if kind is SWITCH:
         if isinstance(value, bool):
             return value
-    elif isinstance(action, argparse._AppendAction):
+    elif kind is IDS:
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             return value
-    elif isinstance(value, str) or (action.type in (int, float) and type(value) in (int, float)):
+    elif isinstance(value, str) or (kind is not _path and type(value) in (int, float)):
         # via str(), so that 2.5 is no more an int than "2.5" is
         try:
-            return action.type(str(value)) if action.type else value
+            return kind(str(value))
         except (ValueError, argparse.ArgumentTypeError):
             pass
-    raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {action.option_strings[0]}")
+    raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {flag}")
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    text = read_text(args.config, InputSpecError)
-    try:
-        config = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
-        raise InputSpecError(f"{args.config}: {exc}") from None
-    if not isinstance(config, dict):
-        raise InputSpecError(f"{args.config}: config must be a JSON object")
-    # checked values become defaults, so flags win; a repeatable flag appends to its default
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The subcommand's options: each one's flag value, else its config value, else its default."""
+    options = {flag[2:].replace("-", "_"): (flag, kind, default) for flag, kind, default, _ in COMMANDS[args.command][2]}
+    config = {}
+    if args.config:
+        text = read_text(args.config, InputSpecError)
+        try:
+            config = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
+            raise InputSpecError(f"{args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise InputSpecError(f"{args.config}: config must be a JSON object")
+    # every config value is checked, also one that a flag overrides; a key may serve another subcommand
+    known = {flag[2:].replace("-", "_") for _, _, opts in COMMANDS.values() for flag, *_ in opts}
+    from_config = {}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest in actions:
-            value = _config_value(actions[dest], key, value)
-            if not (isinstance(actions[dest], argparse._AppendAction) and getattr(args, dest)):
-                sub.set_defaults(**{dest: value})
-    return parser.parse_args(argv)
+        if dest in options:
+            flag, kind, _ = options[dest]
+            from_config[dest] = _config_value(flag, kind, key, value)
+        elif dest not in known:
+            raise InputSpecError(f"{args.config}: config key {key!r} is not an option of any subcommand")
+    values = {"command": args.command}
+    missing = []
+    for dest, (flag, _, default) in options.items():
+        value = getattr(args, dest)
+        if value is None:
+            value = from_config.get(dest, default)
+        if value is REQUIRED or value == []:
+            missing.append(flag)
+        values[dest] = value
+    if missing:
+        raise InputSpecError(f"missing required option(s): {', '.join(missing)} (flag or config file)")
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _apply_config(parser, list(argv) if argv is not None else sys.argv[1:])
-        missing = [n for n in (*_REQUIRED[args.command], "out") if getattr(args, n) in (None, [])]
-        if missing:
-            flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-            raise InputSpecError(f"missing required option(s): {flags} (flag or config file)")
-        inputs, outputs = args.func(args)
+        args = _resolve(build_parser().parse_args(argv))
+        inputs, outputs = COMMANDS[args.command][0](args)
         outputs["provenance.json"] = partial(write_json, {
             "command": args.command,
-            "parameters": _param_dict(args),
+            "parameters": dict(sorted(vars(args).items())),
             "inputs": {p: _hash_tree(Path(p)) for p in sorted(set(inputs))},
         })
         _write_outputs(Path(args.out), outputs)

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import stoplemma
+from stoplemma import corpus as corpus_mod
 from stoplemma import data_path
 from stoplemma import freq as freq_mod
-from stoplemma.cli import main
+from stoplemma.cli import COMMANDS, IDS, REQUIRED, SWITCH, main
 
 
 def run(argv):
@@ -208,7 +210,7 @@ class TestPosstatsCommand:
         out = tmp_path / "out"
         assert run(["posstats", "--ranked", demo_args["ranked"][0], "--depth", depth,
                     "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
-        assert f"depth must be >= 1, got {depth}" in capsys.readouterr().err
+        assert f"argument --depth: must be >= 1, got {depth}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_use_frequency_runs(self, tmp_path, demo_args):
@@ -344,6 +346,22 @@ class TestConfigFile:
         assert run(["--config", config, "posstats", *argv]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_a_key_of_no_subcommand_exits_1(self, tmp_path, capsys, demo_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"lexcon": str(demo_args["lexicon"])}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "freq", "--corpus", demo_args["corpus"], "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: config key 'lexcon'" in err
+        assert not out.exists()
+
+    def test_a_key_of_another_subcommand_is_ignored(self, tmp_path, demo_args):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"k": 3, "depth": 4}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "freq", "--corpus", demo_args["corpus"], "--out", out]) == 0
+        assert "k" not in json.loads((out / "provenance.json").read_text())["parameters"]
 
     def test_a_repeatable_flag_replaces_the_config_list(self, tmp_path, demo_args):
         config = tmp_path / "cfg.json"
@@ -609,6 +627,27 @@ def test_corpus_hash_covers_only_its_documents(tmp_path):
     assert json.loads(provenance())["inputs"] != json.loads(first)["inputs"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag", ["--k-a", "--k-b"])
+def test_induce_count_below_one_exits_1_naming_the_flag(tmp_path, monkeypatch, capsys, demo_args,
+                                                        flag, source):
+    out = tmp_path / "out"
+    argv = ["induce", *[a for s in demo_args["stoplists"] for a in ("--stoplist", s)],
+            "--corpus", demo_args["corpus"], "--out", out]
+    if source == "flag":
+        argv += [flag, "0"]
+        named = f"argument {flag}: must be >= 1, got 0"
+    else:
+        key = flag[2:].replace("-", "_")
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 0}), encoding="utf-8")
+        argv = ["--config", tmp_path / "cfg.json", *argv]
+        named = f"config key {key!r}: invalid value 0 for {flag}"
+    monkeypatch.setattr(corpus_mod, "load_corpus", lambda *a, **kw: pytest.fail("a corpus was read"))
+    assert run(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("inner", ["out", ".", "docs/../out"])
 def test_induce_out_inside_a_corpus_exits_1(tmp_path, capsys, demo_args, inner):
     corpus = tmp_path / "c"
@@ -668,3 +707,65 @@ def test_only_posstats_imports_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess"}
+
+
+# one valid value per declared option, other than its default; "out" is relative to the run's folder
+OPTION_VALUES = {
+    "--corpus": [f"demo={data_path('demo_corpus')}"],
+    "--lexicon": str(data_path("demo_lexicon.tsv")),
+    "--keep-symbols": True,
+    "--keep-latin-words": True,
+    "--keep-latin-numbers": True,
+    "--drop-devanagari-digits": True,
+    "--out": "out",
+    "--stoplist": [f"l{i}={data_path('demo_stoplists', f'list{i}.txt')}" for i in (1, 2, 3)],
+    "--k-a": 50,
+    "--k-b": 40,
+    "--ranked": [f"{p.stem}={p}" for p in sorted(data_path("table3_top10").glob("*.tsv"))],
+    "--k": 3,
+    "--pos-lexicon": str(data_path("demo_pos_lexicon.tsv")),
+    "--depth": 8,
+    "--threshold": 0.25,
+    "--use-frequency": True,
+    "--mapping": str(data_path("english_hindi_mapping.tsv")),
+    "--list": str(data_path("table5_stoplemmas.txt")),
+}
+
+
+def _as_flag(flag, kind, value):
+    if kind is SWITCH:
+        return [flag]
+    values = value if kind is IDS else [value]
+    return [a for v in values for a in (flag, str(v))]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, (_, _, options) in COMMANDS.items() for option in options
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_and_config_give_the_same_run(tmp_path, monkeypatch, command, option):
+    flag, kind, default, _ = option
+    value = OPTION_VALUES[flag]
+    assert value != default
+    required = [a for f, k, d, _ in COMMANDS[command][2] if d is REQUIRED and f != flag
+                for a in _as_flag(f, k, OPTION_VALUES[f])]
+    (tmp_path / "cfg.json").write_text(json.dumps({flag[2:]: value}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    trees = []
+    for argv in ([command, *required, *_as_flag(flag, kind, value)],
+                 ["--config", "cfg.json", command, *required]):
+        assert run(argv) == 0
+        trees.append(tree_bytes(tmp_path / "out"))
+        shutil.rmtree(tmp_path / "out")
+    assert trees[0] == trees[1]
+    assert json.loads(trees[0]["provenance.json"])["parameters"][flag[2:].replace("-", "_")] == value
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_documents_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag, *_ in COMMANDS[command][2]:
+        # the flag, its metavar if any, then help on the same line or the next
+        assert re.search(rf"^  {re.escape(flag)}(?: [A-Z_=]+)?\s{{2,}}[^-\s]", text, re.M), flag
