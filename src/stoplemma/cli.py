@@ -327,6 +327,19 @@ def _config_value(flag: str, kind, key: str, value):
     raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {flag}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; no key may repeat, also not in its other ``-``/``_`` spelling."""
+    seen: dict[str, str] = {}
+    for key, _ in pairs:
+        dest = key.replace("-", "_")
+        if dest in seen:
+            if seen[dest] == key:
+                raise ValueError(f"config key {key!r} is given more than once")
+            raise ValueError(f"config keys {seen[dest]!r} and {key!r} name the same option")
+        seen[dest] = key
+    return dict(pairs)
+
+
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The subcommand's options: each one's flag value, else its config value, else its default."""
     options = {flag[2:].replace("-", "_"): (flag, kind, default) for flag, kind, default, _ in COMMANDS[args.command][2]}
@@ -334,8 +347,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
         text = read_text(args.config, InputSpecError)
         try:
-            config = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
+            config = json.loads(text, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:  # bad JSON, a repeated key, deep nesting
             raise InputSpecError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise InputSpecError(f"{args.config}: config must be a JSON object")

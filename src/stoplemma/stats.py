@@ -56,6 +56,8 @@ DEFAULT_GROUPS = (
     TagGroup("NEG", frozenset({"NEG"})),
     TagGroup("CC", frozenset({"CC"})),
 )
+# the groups are disjoint, so a tag names at most one of them
+_GROUP_OF_TAG = {tag: g for g, group in enumerate(DEFAULT_GROUPS) for tag in group.members}
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,10 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
 
     r = ((M1 - M0) / s_n) * sqrt(n1*n0 / n^2) with s_n the population standard
     deviation of the ranks; p comes from t = r*sqrt((n-2)/(1-r^2)) on n-2
-    degrees of freedom.
+    degrees of freedom.  This is the general path: any values, summed as
+    floats in their order.  ``pos_rank_analysis`` takes it for frequencies and
+    for lists too long for ``_ranks_exact``; other rank lists take the closed
+    form of ``_rank_point_biserial``, which gives the same floats.
     """
     n = len(membership)
     if n != len(ranks):
@@ -119,9 +124,7 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
     if any(m not in (0, 1) for m in membership):
         raise ValueError("membership values must be 0 or 1")
     n1 = sum(membership)
-    n0 = n - n1
-    if n1 == 0 or n0 == 0:
-        raise UndefinedCorrelationError("membership is constant")
+    n0 = _non_members(n, n1)
     mean = sum(ranks) / n
     var = sum((x - mean) ** 2 for x in ranks) / n
     if not math.isfinite(var):  # a sum overflowed to inf, which raises nothing
@@ -130,18 +133,52 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
         raise UndefinedCorrelationError("ranks have zero variance")
     m1 = sum(x for m, x in zip(membership, ranks) if m == 1) / n1
     m0 = sum(x for m, x in zip(membership, ranks) if m == 0) / n0
+    return _r_and_p(n, n1, n0, m1, m0, var)
+
+
+def _non_members(n: int, n1: int) -> int:
+    """n0 = n - n1; r is undefined unless both groups have members."""
+    if n1 == 0 or n1 == n:
+        raise UndefinedCorrelationError("membership is constant")
+    return n - n1
+
+
+def _ranks_exact(n: int) -> bool:
+    """True when the float sums point_biserial makes over the ranks 1..n are exact.
+
+    Those sums (of ranks, of member ranks, of squared deviations from the mean
+    (n+1)/2) are multiples of 1/4 no larger than n*(n*n-1)/12, so every one is
+    a float while n*(n*n-1) < 3 * 2**53, that is for n up to 300 079.
+    """
+    return n * (n * n - 1) < 3 * 2**53
+
+
+def _rank_point_biserial(n: int, n1: int, rank_sum: int) -> tuple[float, float]:
+    """point_biserial(membership, [1.0, ..., n]) from n1 and the members' rank sum.
+
+    Only for ``_ranks_exact(n)``: each mean and the variance is then the exact
+    value rounded once, in point_biserial as here, so r and p are the same.
+    """
+    n0 = _non_members(n, n1)
+    m1 = rank_sum / n1
+    m0 = (n * (n + 1) // 2 - rank_sum) / n0
+    return _r_and_p(n, n1, n0, m1, m0, n * (n * n - 1) / 12 / n)
+
+
+def _r_and_p(n: int, n1: int, n0: int, m1: float, m0: float, var: float) -> tuple[float, float]:
+    """point_biserial's r and p from the group sizes, group means and population variance."""
     r = ((m1 - m0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
-        p = 0.0
-    else:
-        # imported here, not at module level: scipy costs every other subcommand
-        # most of its start-up time and memory, and only this call needs it
-        from scipy import stats as _scipy_stats
+        return r, 0.0
+    # imported here, not at module level: scipy costs every other subcommand
+    # most of its start-up time and memory, and only this call needs it.
+    # stdtr(df, -t) is the t distribution's upper tail at t, the same float
+    # as scipy's t distribution object gives, at a third of its import time
+    from scipy.special import stdtr
 
-        t = r * math.sqrt((n - 2) / (1 - r * r))
-        p = 2 * _scipy_stats.t.sf(abs(t), n - 2)
-    return r, p
+    t = r * math.sqrt((n - 2) / (1 - r * r))
+    return r, 2 * float(stdtr(n - 2, -abs(t)))
 
 
 def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], float, float]:
@@ -169,40 +206,31 @@ def pos_rank_analysis(
     Cells where r is undefined (a group absent or omnipresent in a source) are
     flagged and excluded from that group's descriptive statistics.  ``depth``,
     when given, must be at least 1; by default every entry is used.
+
+    Each source's entries are tagged once.  With ranks, each cell's r and p
+    then follow from its group's size and rank sum (``_rank_point_biserial``),
+    the same floats as ``point_biserial`` gives while ``_ranks_exact`` holds.
+    Frequencies, whose float sums depend on their order, and longer lists
+    take ``point_biserial``.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if source_ids is None:
         source_ids = [str(i) for i in range(len(lists))]
+    actual_depth = depth or max((len(l.entries) for l in lists), default=0)
+    columns = []  # columns[s][g] is the cell of group g in source s
+    for sid, ranked in zip(source_ids, lists):
+        try:
+            columns.append(_source_cells(sid, ranked.entries[:depth], lex, use_frequency))
+        except OverflowError as exc:  # a count beyond what a float holds
+            raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
     cells: list[CorrelationCell] = []
     summaries: list[GroupSummary] = []
-    actual_depth = depth or max((len(l.entries) for l in lists), default=0)
-    for group in DEFAULT_GROUPS:
-        rs, ps, flagged = [], [], []
-        for sid, ranked in zip(source_ids, lists):
-            entries = ranked.entries[:depth]
-            if len(entries) < 3:
-                cells.append(CorrelationCell(group.name, sid, None, None, 0, 0,
-                                             error="fewer than 3 entries"))
-                flagged.append(sid)
-                continue
-            membership = [1 if lex.tag_of(item) in group.members else 0 for item, _ in entries]
-            n1 = sum(membership)
-            n0 = len(membership) - n1
-            try:
-                values = [float(count) if use_frequency else float(rank)
-                          for rank, (_, count) in enumerate(entries, start=1)]
-                r, p = point_biserial(membership, values)
-            except UndefinedCorrelationError as exc:
-                cells.append(CorrelationCell(group.name, sid, None, None, n1, n0,
-                                             error=str(exc)))
-                flagged.append(sid)
-                continue
-            except OverflowError as exc:  # a count beyond what a float holds
-                raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
-            cells.append(CorrelationCell(group.name, sid, r, p, n1, n0))
-            rs.append(r)
-            ps.append(p)
+    for g, group in enumerate(DEFAULT_GROUPS):
+        row = [column[g] for column in columns]
+        cells += row
+        rs = [c.r for c in row if c.error is None]
+        ps = [c.p for c in row if c.error is None]
         if rs:
             mean_r, sd_r, max_r, min_r = descriptive_stats(rs)
             mean_p, sd_p, _, _ = descriptive_stats(ps)
@@ -211,9 +239,42 @@ def pos_rank_analysis(
         summaries.append(GroupSummary(
             group=group.name, mean_r=mean_r, sd_r=sd_r, max_r=max_r, min_r=min_r,
             mean_p=mean_p, sd_p=sd_p, defined_sources=len(rs),
-            flagged_sources=tuple(flagged),
+            flagged_sources=tuple(c.source_id for c in row if c.error is not None),
         ))
     return CorrelationReport(cells=tuple(cells), summaries=tuple(summaries), depth=actual_depth)
+
+
+def _source_cells(sid: str, entries: Sequence[tuple[str, int]], lex: PosLexicon,
+                  use_frequency: bool) -> list[CorrelationCell]:
+    """One source's cell for each of DEFAULT_GROUPS, in their order."""
+    n = len(entries)
+    if n < 3:
+        return [CorrelationCell(group.name, sid, None, None, 0, 0, error="fewer than 3 entries")
+                for group in DEFAULT_GROUPS]
+    group_of = [_GROUP_OF_TAG.get(lex.tag_of(item)) for item, _ in entries]
+    sizes = [0] * len(DEFAULT_GROUPS)
+    rank_sums = [0] * len(DEFAULT_GROUPS)
+    for rank, g in enumerate(group_of, start=1):
+        if g is not None:
+            sizes[g] += 1
+            rank_sums[g] += rank
+    general = use_frequency or not _ranks_exact(n)
+    if general:
+        values = [float(count) if use_frequency else float(rank)
+                  for rank, (_, count) in enumerate(entries, start=1)]
+    cells = []
+    for g, group in enumerate(DEFAULT_GROUPS):
+        n1, n0 = sizes[g], n - sizes[g]
+        try:
+            if general:
+                r, p = point_biserial([1 if i == g else 0 for i in group_of], values)
+            else:
+                r, p = _rank_point_biserial(n, n1, rank_sums[g])
+        except UndefinedCorrelationError as exc:
+            cells.append(CorrelationCell(group.name, sid, None, None, n1, n0, error=str(exc)))
+        else:
+            cells.append(CorrelationCell(group.name, sid, r, p, n1, n0))
+    return cells
 
 
 def reject_pos_hypothesis(report: CorrelationReport, threshold: float = 0.5) -> bool:

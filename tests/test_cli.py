@@ -363,6 +363,21 @@ class TestConfigFile:
         assert run(["--config", config, "freq", "--corpus", demo_args["corpus"], "--out", out]) == 0
         assert "k" not in json.loads((out / "provenance.json").read_text())["parameters"]
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("overlap", '{"k": 3, "k": 5}', "config key 'k' is given more than once"),
+        ("induce", '{"k-a": 3, "k_a": 5}', "config keys 'k-a' and 'k_a' name the same option"),
+    ])
+    def test_an_option_given_twice_exits_1_naming_the_key(self, tmp_path, capsys, demo_args,
+                                                          command, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text, encoding="utf-8")
+        inputs = {"overlap": ["--ranked", demo_args["ranked"][0], "--ranked", demo_args["ranked"][1]],
+                  "induce": ["--corpus", demo_args["corpus"], "--stoplist", demo_args["stoplists"][0]]}
+        out = tmp_path / "out"
+        assert run(["--config", config, command, *inputs[command], "--out", out]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_repeatable_flag_replaces_the_config_list(self, tmp_path, demo_args):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"ranked": demo_args["ranked"][:2]}), encoding="utf-8")
@@ -696,6 +711,12 @@ codes = [
 ]
 assert codes == [0, 0, 0, 0], codes
 assert "scipy" not in sys.modules, "scipy was imported"
+# posstats needs only the t tail of scipy.special, not scipy.stats
+code = main(["posstats", *ranked, "--pos-lexicon", str(data_path("demo_pos_lexicon.tsv")),
+             "--out", str(out / "posstats")])
+assert code == 0, code
+assert "scipy.special" in sys.modules, "posstats computed no p-value"
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
 """
 
 
@@ -706,7 +727,7 @@ def test_only_posstats_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess"}
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess", "posstats"}
 
 
 # one valid value per declared option, other than its default; "out" is relative to the run's folder

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplemma.freq import FrequencyTable, rank_items, read_ranked_tsv
+from stoplemma import stats
+from stoplemma.freq import FrequencyTable, RankedList, rank_items, read_ranked_tsv
 from stoplemma.stats import (
     DEFAULT_GROUPS,
+    CorrelationCell,
+    GroupSummary,
     PosLexicon,
     TagGroup,
     UndefinedCorrelationError,
@@ -226,3 +229,91 @@ def test_load_pos_lexicon(tmp_path):
 def test_default_groups_cover_the_expected_tags():
     names = [g.name for g in DEFAULT_GROUPS]
     assert names == ["NN/NNP/NNPC", "PSP/PRP", "SYM", "VM", "QC/QF/QO", "NEG", "CC"]
+
+
+def test_default_groups_are_disjoint():
+    # pos_rank_analysis tags each entry with at most one group
+    for i, a in enumerate(DEFAULT_GROUPS):
+        for b in DEFAULT_GROUPS[i + 1:]:
+            assert not a.members & b.members, (a.name, b.name)
+
+
+def reference_analysis(lists, lex, depth, source_ids):
+    """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks."""
+    cells, summaries = [], []
+    for group in DEFAULT_GROUPS:
+        row = []
+        for sid, ranked in zip(source_ids, lists):
+            entries = ranked.entries[:depth]
+            membership = [1 if lex.tag_of(item) in group.members else 0 for item, _ in entries]
+            n1, n0 = sum(membership), len(entries) - sum(membership)
+            if len(entries) < 3:
+                row.append(CorrelationCell(group.name, sid, None, None, 0, 0, "fewer than 3 entries"))
+                continue
+            try:
+                r, p = point_biserial(membership, [float(i) for i in range(1, len(entries) + 1)])
+            except UndefinedCorrelationError as exc:
+                row.append(CorrelationCell(group.name, sid, None, None, n1, n0, str(exc)))
+                continue
+            row.append(CorrelationCell(group.name, sid, r, p, n1, n0))
+        cells += row
+        defined = [c for c in row if c.error is None]
+        mean_r = sd_r = max_r = min_r = mean_p = sd_p = None
+        if defined:
+            mean_r, sd_r, max_r, min_r = descriptive_stats([c.r for c in defined])
+            mean_p, sd_p, _, _ = descriptive_stats([c.p for c in defined])
+        flagged = tuple(c.source_id for c in row if c.error is not None)
+        summaries.append(GroupSummary(group.name, mean_r, sd_r, max_r, min_r, mean_p, sd_p,
+                                      len(defined), flagged))
+    return cells, summaries
+
+
+_ITEMS = [f"w{i}" for i in range(100)]
+_TAGS = sorted({tag for group in DEFAULT_GROUPS for tag in group.members}) + ["JJ", "RB", "other"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # each item has a tag in a group, a tag in none, or no tag
+    tags=st.lists(st.sampled_from([*_TAGS, None]), min_size=len(_ITEMS), max_size=len(_ITEMS)),
+    orders=st.lists(st.tuples(st.integers(0, 80), st.permutations(_ITEMS)).map(lambda t: t[1][:t[0]]),
+                    min_size=1, max_size=4),
+    depth=st.none() | st.integers(1, 90),
+)
+def test_rank_path_equals_point_biserial_per_cell(tags, orders, depth):
+    lex = PosLexicon(tags={item: tag for item, tag in zip(_ITEMS, tags) if tag})
+    lists = [RankedList(tuple((item, len(order) - i) for i, item in enumerate(order)))
+             for order in orders]
+    source_ids = [f"s{i}" for i in range(len(lists))]
+    report = pos_rank_analysis(lists, lex, depth=depth, source_ids=source_ids)
+    cells, summaries = reference_analysis(lists, lex, depth, source_ids)
+    # == on r and p: the rank path must give the very floats of the general path
+    assert report.cells == tuple(cells)
+    assert report.summaries == tuple(summaries)
+
+
+def test_rank_sums_are_exact_up_to_the_limit():
+    n = 300_079
+    assert stats._ranks_exact(n) and not stats._ranks_exact(n + 1)
+    # the sum of squared deviations from the mean is the exact n*(n*n-1)/12
+    ranks = [float(i) for i in range(1, n + 1)]
+    mean = sum(ranks) / n
+    assert mean == (n + 1) / 2
+    assert sum((x - mean) ** 2 for x in ranks) == n * (n * n - 1) / 12
+
+
+def test_lists_beyond_the_limit_take_point_biserial(monkeypatch):
+    counts = {f"w{i}": 100 - i for i in range(40)}
+    lex = PosLexicon(tags={"w1": "PSP", "w7": "VM", "w20": "PSP", "w33": "CC"})
+    lists = [ranked_from(counts)]
+    closed_form = pos_rank_analysis(lists, lex)
+    calls = []
+
+    def spy(membership, ranks):
+        calls.append(len(ranks))
+        return point_biserial(membership, ranks)
+
+    monkeypatch.setattr(stats, "point_biserial", spy)
+    monkeypatch.setattr(stats, "_ranks_exact", lambda n: False)
+    assert pos_rank_analysis(lists, lex) == closed_form
+    assert calls == [40] * len(DEFAULT_GROUPS)
