@@ -27,6 +27,8 @@ COMMANDS = {
     "overlap": ["overlap", *[a for r in _RANKED for a in ("--ranked", r)], "--k", "10"],
     "posstats": ["posstats", *[a for r in _RANKED for a in ("--ranked", r)],
                  "--pos-lexicon", "data/demo_pos_lexicon.tsv"],
+    "posstats-frequency": ["posstats", *[a for r in _RANKED for a in ("--ranked", r)],
+                           "--pos-lexicon", "data/demo_pos_lexicon.tsv", "--use-frequency"],
     "assess": ["assess", "--mapping", "data/english_hindi_mapping.tsv", *_LEXICON,
                "--list", "data/table5_stoplemmas.txt"],
 }
@@ -38,6 +40,7 @@ GOLDEN = {
     "induce": "d5b060080b7e33132b2f12c381604dce4f14a5f2554bb6108d57e41d4c036710",
     "overlap": "d02b6453554f0ecab2d5d5299846b5e4c3f19b6ff5888436a8b8386c73ef6606",
     "posstats": "a34b41943e7188746591111db70b989ac02041b2000755e766285582fc3ebd5d",
+    "posstats-frequency": "8401777423d20d6825cc50d219adaa99e10d160c3a1d202f9f8e3e160c032449",
 }
 
 
