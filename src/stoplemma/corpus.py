@@ -79,6 +79,7 @@ def load_metadata(root: str | Path) -> dict[str, DocumentMeta]:
     if not required.issubset(columns):
         raise CorpusError(f"{sidecar}: header must contain columns {sorted(required)}")
     metas: dict[str, DocumentMeta] = {}
+    first_line: dict[str, int] = {}  # file -> the line that listed it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -86,6 +87,9 @@ def load_metadata(root: str | Path) -> dict[str, DocumentMeta]:
         row = dict(zip(columns, cells + [""] * len(columns)))  # missing cells are empty
         if not row["file"]:
             raise CorpusError(f"{sidecar}:{lineno}: empty file column")
+        if first_line.setdefault(row["file"], lineno) != lineno:
+            raise CorpusError(f"{sidecar}:{lineno}: file {row['file']!r} already listed "
+                              f"on line {first_line[row['file']]}")
         try:
             year = int(row["year"]) if row["year"] else None
         except ValueError:

@@ -102,19 +102,17 @@ def top_k_overlap(lists: Sequence[RankedList], k: int, source_ids: Sequence[str]
     if source_ids is None:
         source_ids = [str(i) for i in range(len(lists))]
     counts = Counter(item for ranked in lists for item in set(top_k(ranked, k)))
-    short = tuple(sid for sid, ranked in zip(source_ids, lists) if len(ranked.entries) < k)
+    short = tuple(sid for sid, ranked in zip(source_ids, lists, strict=True) if len(ranked.entries) < k)
     return OverlapReport(k=k, source_count=len(lists), counts=counts, short_sources=short)
 
 
 def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[float, float]:
-    """r between a 0/1 variable and a rank variable, with a two-tailed t p-value.
+    """r between a 0/1 variable and a rank (or count) variable, with a two-tailed t p-value.
 
     r = ((M1 - M0) / s_n) * sqrt(n1*n0 / n^2) with s_n the population standard
     deviation of the ranks; p comes from t = r*sqrt((n-2)/(1-r^2)) on n-2
-    degrees of freedom.  This is the general path: any values, summed as
-    floats in their order.  ``pos_rank_analysis`` takes it for frequencies and
-    for lists too long for ``_ranks_exact``; other rank lists take the closed
-    form of ``_rank_point_biserial``, which gives the same floats.
+    degrees of freedom.  Every sum runs over the values as given, in their
+    order; this is the reference that ``pos_rank_analysis`` reproduces.
     """
     n = len(membership)
     if n != len(ranks):
@@ -125,12 +123,7 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
         raise ValueError("membership values must be 0 or 1")
     n1 = sum(membership)
     n0 = _non_members(n, n1)
-    mean = sum(ranks) / n
-    var = sum((x - mean) ** 2 for x in ranks) / n
-    if not math.isfinite(var):  # a sum overflowed to inf, which raises nothing
-        raise OverflowError("sum of values out of floating-point range")
-    if var == 0:
-        raise UndefinedCorrelationError("ranks have zero variance")
+    var = _population_variance(ranks)
     m1 = sum(x for m, x in zip(membership, ranks) if m == 1) / n1
     m0 = sum(x for m, x in zip(membership, ranks) if m == 0) / n0
     return _r_and_p(n, n1, n0, m1, m0, var)
@@ -143,30 +136,23 @@ def _non_members(n: int, n1: int) -> int:
     return n - n1
 
 
-def _ranks_exact(n: int) -> bool:
-    """True when the float sums point_biserial makes over the ranks 1..n are exact.
-
-    Those sums (of ranks, of member ranks, of squared deviations from the mean
-    (n+1)/2) are multiples of 1/4 no larger than n*(n*n-1)/12, so every one is
-    a float while n*(n*n-1) < 3 * 2**53, that is for n up to 300 079.
-    """
-    return n * (n * n - 1) < 3 * 2**53
+def _mean_and_ss(values: Sequence[float]) -> tuple[float, float]:
+    """The mean of the values and the sum of their squared deviations from it."""
+    mean = sum(values) / len(values)
+    return mean, sum((x - mean) ** 2 for x in values)
 
 
-def _rank_point_biserial(n: int, n1: int, rank_sum: int) -> tuple[float, float]:
-    """point_biserial(membership, [1.0, ..., n]) from n1 and the members' rank sum.
-
-    Only for ``_ranks_exact(n)``: each mean and the variance is then the exact
-    value rounded once, in point_biserial as here, so r and p are the same.
-    """
-    n0 = _non_members(n, n1)
-    m1 = rank_sum / n1
-    m0 = (n * (n + 1) // 2 - rank_sum) / n0
-    return _r_and_p(n, n1, n0, m1, m0, n * (n * n - 1) / 12 / n)
+def _population_variance(values: Sequence[float]) -> float:
+    var = _mean_and_ss(values)[1] / len(values)
+    if not math.isfinite(var):  # a sum overflowed to inf, which raises nothing
+        raise OverflowError("sum of values out of floating-point range")
+    return var
 
 
 def _r_and_p(n: int, n1: int, n0: int, m1: float, m0: float, var: float) -> tuple[float, float]:
     """point_biserial's r and p from the group sizes, group means and population variance."""
+    if var == 0:
+        raise UndefinedCorrelationError("ranks have zero variance")
     r = ((m1 - m0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -186,11 +172,8 @@ def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], 
     if not values:
         raise ValueError("descriptive_stats needs at least one value")
     n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        sd = None
-    else:
-        sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    mean, ss = _mean_and_ss(values)
+    sd = None if n < 2 else math.sqrt(ss / (n - 1))
     return mean, sd, max(values), min(values)
 
 
@@ -207,11 +190,11 @@ def pos_rank_analysis(
     flagged and excluded from that group's descriptive statistics.  ``depth``,
     when given, must be at least 1; by default every entry is used.
 
-    Each source's entries are tagged once.  With ranks, each cell's r and p
-    then follow from its group's size and rank sum (``_rank_point_biserial``),
-    the same floats as ``point_biserial`` gives while ``_ranks_exact`` holds.
-    Frequencies, whose float sums depend on their order, and longer lists
-    take ``point_biserial``.
+    Each cell has the r and p of ``point_biserial`` over the source's 0/1
+    group membership and its ranks (or, with ``use_frequency``, its counts).
+    The group means come from exact integer sums, so they equal
+    ``point_biserial``'s in-order float sums while every sum stays below
+    2**53; above that they are the correctly rounded means.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -219,7 +202,7 @@ def pos_rank_analysis(
         source_ids = [str(i) for i in range(len(lists))]
     actual_depth = depth or max((len(l.entries) for l in lists), default=0)
     columns = []  # columns[s][g] is the cell of group g in source s
-    for sid, ranked in zip(source_ids, lists):
+    for sid, ranked in zip(source_ids, lists, strict=True):
         try:
             columns.append(_source_cells(sid, ranked.entries[:depth], lex, use_frequency))
         except OverflowError as exc:  # a count beyond what a float holds
@@ -251,25 +234,28 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], lex: PosLexicon,
     if n < 3:
         return [CorrelationCell(group.name, sid, None, None, 0, 0, error="fewer than 3 entries")
                 for group in DEFAULT_GROUPS]
-    group_of = [_GROUP_OF_TAG.get(lex.tag_of(item)) for item, _ in entries]
-    sizes = [0] * len(DEFAULT_GROUPS)
-    rank_sums = [0] * len(DEFAULT_GROUPS)
-    for rank, g in enumerate(group_of, start=1):
-        if g is not None:
-            sizes[g] += 1
-            rank_sums[g] += rank
-    general = use_frequency or not _ranks_exact(n)
-    if general:
-        values = [float(count) if use_frequency else float(rank)
-                  for rank, (_, count) in enumerate(entries, start=1)]
+    if use_frequency:
+        ints = [count for _, count in entries]
+        # counts become floats before any cell: one that no float holds fails
+        # the source even when every group is flagged
+        values = [float(count) for count in ints]
+    else:
+        ints = values = range(1, n + 1)
+    other = len(DEFAULT_GROUPS)  # the bucket of entries in no group
+    sizes, sums = [0] * (other + 1), [0] * (other + 1)
+    for (item, _), value in zip(entries, ints):
+        g = _GROUP_OF_TAG.get(lex.tag_of(item), other)
+        sizes[g] += 1
+        sums[g] += value
+    total = sum(sums)
+    # only a group with members and non-members reaches the variance
+    var = _population_variance(values) if any(0 < size < n for size in sizes[:other]) else None
     cells = []
     for g, group in enumerate(DEFAULT_GROUPS):
         n1, n0 = sizes[g], n - sizes[g]
         try:
-            if general:
-                r, p = point_biserial([1 if i == g else 0 for i in group_of], values)
-            else:
-                r, p = _rank_point_biserial(n, n1, rank_sums[g])
+            _non_members(n, n1)
+            r, p = _r_and_p(n, n1, n0, sums[g] / n1, (total - sums[g]) / n0, var)
         except UndefinedCorrelationError as exc:
             cells.append(CorrelationCell(group.name, sid, None, None, n1, n0, error=str(exc)))
         else:

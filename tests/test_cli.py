@@ -219,17 +219,21 @@ class TestPosstatsCommand:
                 "--out", tmp_path / "out"]
         assert run(argv) == 0
 
-    @pytest.mark.parametrize("counts", [
-        ["9" * 200, "5", "3", "1"],  # its square overflows
-        ["9" * 400, "5", "3", "1"],  # no float holds it
-        ["9" + "0" * 307] * 3 + ["1"],  # each fits, their sum is inf
-    ])
-    def test_count_too_large_for_use_frequency_exits_1(self, tmp_path, capsys, counts):
+    @pytest.mark.parametrize("counts, pos_lexicon", [
+        (["9" * 200, "5", "3", "1"], "a\tNN\nd\tVM\n"),  # its square overflows
+        (["9" * 400, "5", "3", "1"], "a\tNN\nd\tVM\n"),  # no float holds it
+        (["9" + "0" * 307] * 3 + ["1"], "a\tNN\nd\tVM\n"),  # each fits, their sum is inf
+        # no float holds it, and no entry is tagged: the count fails before any
+        # cell is flagged for constant membership
+        (["9" * 400, "5", "3", "1"], "z\tNN\n"),
+    ], ids=["counts0", "counts1", "counts2", "counts1-untagged"])
+    def test_count_too_large_for_use_frequency_exits_1(self, tmp_path, capsys, counts,
+                                                        pos_lexicon):
         ranked = tmp_path / "r.tsv"
         ranked.write_text("".join(f"{item}\t{c}\n" for item, c in zip("abcd", counts)),
                           encoding="utf-8")
         pos = tmp_path / "pos.tsv"
-        pos.write_text("a\tNN\nd\tVM\n", encoding="utf-8")
+        pos.write_text(pos_lexicon, encoding="utf-8")
         out = tmp_path / "out"
         assert run(["posstats", "--ranked", f"huge={ranked}", "--pos-lexicon", pos,
                     "--use-frequency", "--out", out]) == 1

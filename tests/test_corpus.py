@@ -89,6 +89,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="header"):
             load_metadata(tmp_path)
 
+    def test_metadata_file_listed_twice(self, tmp_path):
+        make_corpus(tmp_path, {"a.txt": "क"},
+                    metadata=HEADER + "a.txt\tx\ty\tmale\tz\t1950\n\n"
+                    + "a.txt\tx\ty\tfemale\tz\t1960\n")
+        with pytest.raises(CorpusError, match=r"metadata\.tsv:4: file 'a\.txt' already listed on line 2"):
+            load_metadata(tmp_path)
+
     def test_loading_is_deterministic(self, tmp_path):
         make_corpus(tmp_path, {"a.txt": "एक", "b.txt": "दो"})
         assert load_corpus(tmp_path, id="t") == load_corpus(tmp_path, id="t")

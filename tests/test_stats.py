@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplemma import stats
 from stoplemma.freq import FrequencyTable, RankedList, rank_items, read_ranked_tsv
 from stoplemma.stats import (
     DEFAULT_GROUPS,
@@ -192,6 +191,18 @@ class TestPosRankAnalysis:
                           for item, _ in ranked.entries]
             assert (cell.r, cell.p) == point_biserial(membership, values)
 
+    def test_constant_membership_is_flagged_before_the_variance_is_checked(self):
+        entries = tuple((f"w{i}", (4 - i) * 10**200) for i in range(4))  # squares overflow
+        report = pos_rank_analysis([RankedList(entries)], PosLexicon(tags={}), use_frequency=True)
+        assert {c.error for c in report.cells} == {"membership is constant"}
+        with pytest.raises(ValueError, match="source 0: count too large"):
+            pos_rank_analysis([RankedList(entries)], PosLexicon(tags={"w0": "VM"}),
+                              use_frequency=True)
+        equal = RankedList(tuple((f"w{i}", 5) for i in range(4)))
+        report = pos_rank_analysis([equal], PosLexicon(tags={"w0": "VM"}), use_frequency=True)
+        assert {c.group: c.error for c in report.cells if c.group in ("VM", "CC")} == {
+            "VM": "ranks have zero variance", "CC": "membership is constant"}
+
     def test_aggregation_arithmetic(self):
         mean, sd, hi, lo = descriptive_stats([-0.1, -0.04])
         assert mean == pytest.approx(-0.07)
@@ -238,8 +249,8 @@ def test_default_groups_are_disjoint():
             assert not a.members & b.members, (a.name, b.name)
 
 
-def reference_analysis(lists, lex, depth, source_ids):
-    """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks."""
+def reference_analysis(lists, lex, depth, source_ids, use_frequency=False):
+    """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts."""
     cells, summaries = [], []
     for group in DEFAULT_GROUPS:
         row = []
@@ -250,8 +261,10 @@ def reference_analysis(lists, lex, depth, source_ids):
             if len(entries) < 3:
                 row.append(CorrelationCell(group.name, sid, None, None, 0, 0, "fewer than 3 entries"))
                 continue
+            values = [float(count) if use_frequency else float(rank)
+                      for rank, (_, count) in enumerate(entries, start=1)]
             try:
-                r, p = point_biserial(membership, [float(i) for i in range(1, len(entries) + 1)])
+                r, p = point_biserial(membership, values)
             except UndefinedCorrelationError as exc:
                 row.append(CorrelationCell(group.name, sid, None, None, n1, n0, str(exc)))
                 continue
@@ -270,6 +283,8 @@ def reference_analysis(lists, lex, depth, source_ids):
 
 _ITEMS = [f"w{i}" for i in range(100)]
 _TAGS = sorted({tag for group in DEFAULT_GROUPS for tag in group.members}) + ["JJ", "RB", "other"]
+# at most 80 entries a list, so the counts of one list total less than 2**53
+_COUNT = st.integers(0, 3) | st.integers(0, 2**53 // 80)
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,42 +293,46 @@ _TAGS = sorted({tag for group in DEFAULT_GROUPS for tag in group.members}) + ["J
     tags=st.lists(st.sampled_from([*_TAGS, None]), min_size=len(_ITEMS), max_size=len(_ITEMS)),
     orders=st.lists(st.tuples(st.integers(0, 80), st.permutations(_ITEMS)).map(lambda t: t[1][:t[0]]),
                     min_size=1, max_size=4),
+    counts=st.lists(_COUNT, min_size=80, max_size=80),
     depth=st.none() | st.integers(1, 90),
+    use_frequency=st.booleans(),
 )
-def test_rank_path_equals_point_biserial_per_cell(tags, orders, depth):
+def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, use_frequency):
     lex = PosLexicon(tags={item: tag for item, tag in zip(_ITEMS, tags) if tag})
-    lists = [RankedList(tuple((item, len(order) - i) for i, item in enumerate(order)))
-             for order in orders]
+    # counts in any order: pos_rank_analysis takes a list's order as given
+    lists = [RankedList(tuple(zip(order, counts))) for order in orders]
     source_ids = [f"s{i}" for i in range(len(lists))]
-    report = pos_rank_analysis(lists, lex, depth=depth, source_ids=source_ids)
-    cells, summaries = reference_analysis(lists, lex, depth, source_ids)
-    # == on r and p: the rank path must give the very floats of the general path
+    report = pos_rank_analysis(lists, lex, depth=depth, source_ids=source_ids,
+                               use_frequency=use_frequency)
+    cells, summaries = reference_analysis(lists, lex, depth, source_ids, use_frequency)
+    # == on r and p: below 2**53 the exact integer sums give point_biserial's very floats
     assert report.cells == tuple(cells)
     assert report.summaries == tuple(summaries)
 
 
-def test_rank_sums_are_exact_up_to_the_limit():
-    n = 300_079
-    assert stats._ranks_exact(n) and not stats._ranks_exact(n + 1)
-    # the sum of squared deviations from the mean is the exact n*(n*n-1)/12
-    ranks = [float(i) for i in range(1, n + 1)]
-    mean = sum(ranks) / n
-    assert mean == (n + 1) / 2
-    assert sum((x - mean) ** 2 for x in ranks) == n * (n * n - 1) / 12
+def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
+    # the totals pass 2**53, so the means are the correctly rounded ones and
+    # point_biserial's in-order float sums may differ from them in the last bits
+    counts = [2**62 // (i + 1) + 3 * i for i in range(60)]
+    order = [f"w{i}" for i in range(60)]
+    lex = PosLexicon(tags={f"w{i}": "PSP" if i % 3 == 0 else "VM" for i in range(0, 60, 2)})
+    report = pos_rank_analysis([RankedList(tuple(zip(order, counts)))], lex, source_ids=["s"],
+                               use_frequency=True)
+    defined = [c for c in report.cells if c.error is None]
+    assert [c.group for c in defined] == ["PSP/PRP", "VM"]
+    values = [float(c) for c in counts]
+    for cell in defined:
+        group = next(g for g in DEFAULT_GROUPS if g.name == cell.group)
+        r, p = point_biserial([1 if lex.tag_of(item) in group.members else 0 for item in order],
+                              values)
+        assert cell.r == pytest.approx(r, rel=1e-12)
+        assert cell.p == pytest.approx(p, rel=1e-12)
 
 
-def test_lists_beyond_the_limit_take_point_biserial(monkeypatch):
-    counts = {f"w{i}": 100 - i for i in range(40)}
-    lex = PosLexicon(tags={"w1": "PSP", "w7": "VM", "w20": "PSP", "w33": "CC"})
-    lists = [ranked_from(counts)]
-    closed_form = pos_rank_analysis(lists, lex)
-    calls = []
-
-    def spy(membership, ranks):
-        calls.append(len(ranks))
-        return point_biserial(membership, ranks)
-
-    monkeypatch.setattr(stats, "point_biserial", spy)
-    monkeypatch.setattr(stats, "_ranks_exact", lambda n: False)
-    assert pos_rank_analysis(lists, lex) == closed_form
-    assert calls == [40] * len(DEFAULT_GROUPS)
+@pytest.mark.parametrize("source_ids", [["only"], ["a", "b", "c"]])
+def test_source_ids_must_match_the_lists(source_ids):
+    lists = [ranked_from({"का": 3, "है": 2, "जा": 1})] * 2
+    with pytest.raises(ValueError):
+        pos_rank_analysis(lists, PosLexicon(tags={"का": "PSP"}), source_ids=source_ids)
+    with pytest.raises(ValueError):
+        top_k_overlap(lists, k=2, source_ids=source_ids)
