@@ -189,6 +189,7 @@ def pos_rank_analysis(
     Cells where r is undefined (a group absent or omnipresent in a source) are
     flagged and excluded from that group's descriptive statistics.  ``depth``,
     when given, must be at least 1; by default every entry is used.
+    ``source_ids``, when given, holds one ID per list.
 
     Each cell has the r and p of ``point_biserial`` over the source's 0/1
     group membership and its ranks (or, with ``use_frequency``, its counts).
