@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusSource, Document
 from .lemma import EMPTY_LEXICON, LemmaLexicon
-from .normalize import FilterPolicy, read_records, scan_surfaces, token_kind, write_json
+from .normalize import PLAIN_WORD, FilterPolicy, read_records, scan_surfaces, token_kind, write_json
 
 # Large documents are split in slices so no split() list holds the whole
 # token stream; each slice ends at whitespace to keep tokens whole.
@@ -49,22 +49,31 @@ def _iter_chunks(text: str) -> Iterable[str]:
 
 
 def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -> Counter:
-    # Count whitespace tokens first, then normalize, scan and filter each
-    # distinct one, weighted by its count: that work scales with the
-    # vocabulary, not the token count.  This equals NFC and scanning the whole
-    # text because every whitespace character is an NFC starter that composes
-    # with nothing, NFC maps no other character to whitespace, and str.split()
-    # and re's \s agree on what whitespace is.
+    # Count whitespace tokens first, then turn each distinct one into kept
+    # surfaces, weighted by its count: that work scales with the vocabulary,
+    # not the token count.  A plain Devanagari token (see PLAIN_WORD) is
+    # already NFC, one word run and a kept DEVANAGARI_WORD, so it is its own
+    # surface.  Any other token is normalized and scanned, and its surfaces
+    # are classified and filtered; they may meet a plain surface, as the NFD
+    # spelling of a nukta letter meets its precomposed form.  This equals NFC
+    # and scanning the whole text because every whitespace character is an
+    # NFC starter that composes with nothing, NFC maps no other character to
+    # whitespace, and str.split() and re's \s agree on what whitespace is.
     tokens: Counter = Counter()
     for chunk in _iter_chunks(doc.raw_text):
         tokens.update(chunk.split())
     counts: Counter = Counter()
+    rest: Counter = Counter()
+    plain = PLAIN_WORD.fullmatch
     for token, n in tokens.items():
-        for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
+        if plain(token):
+            counts[token] = n
+        else:
+            for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
+                rest[surface] += n
+    for surface, n in rest.items():
+        if policy.keeps(token_kind(surface)):
             counts[surface] += n
-    for surface in list(counts):
-        if not policy.keeps(token_kind(surface)):
-            del counts[surface]
     return counts
 
 

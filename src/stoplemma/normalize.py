@@ -24,6 +24,16 @@ from typing import Iterator, Sequence
 # token is a maximal run of them or any other single non-space character.
 _WORD_CHARS = "0-9A-Za-zऀ-ॣ०-ॿ‌‍"
 _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
+# Plain Devanagari words: the block less the nukta U+093C, the stress marks
+# U+0951–U+0954, the composition exclusions U+0958–U+095F, the dandas and the
+# digits, plus ZWNJ/ZWJ.  A string over these 105 code points is already NFC:
+# the virama is the only one with a nonzero combining class, so nothing
+# reorders; the precomposed U+0929, U+0931 and U+0934 are not excluded from
+# composition, so NFC keeps them; and no two of them compose, since every
+# Devanagari composition takes the nukta.  It is also one word run, which
+# classify calls DEVANAGARI_WORD (it holds no digit) and every FilterPolicy
+# keeps.
+PLAIN_WORD = re.compile("[\u0900-\u093b\u093d-\u0950\u0955-\u0957\u0960-\u0963\u0970-\u097f\u200c\u200d]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
 _TERMINATORS = frozenset("।॥?!.")  # each is a single-character symbol token

@@ -13,7 +13,7 @@ from .normalize import read_pairs, write_json
 
 
 class UndefinedCorrelationError(ValueError):
-    """Constant membership or zero rank variance: r is undefined."""
+    """Constant membership or equal counts: r is undefined."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ def _population_variance(values: Sequence[float]) -> float:
 
 def _r_and_p(n: int, n1: int, n0: int, m1: float, m0: float, var: float) -> tuple[float, float]:
     """point_biserial's r and p from the group sizes, group means and population variance."""
-    if var == 0:
-        raise UndefinedCorrelationError("ranks have zero variance")
+    if var == 0:  # distinct ranks vary, so only counts can be all equal
+        raise UndefinedCorrelationError("counts have zero variance")
     r = ((m1 - m0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:

@@ -165,10 +165,14 @@ def test_policy_flags_respected():
 # composition-excluded forms), danda, digits of three scripts, NBSP, ZWJ,
 # ZWNJ, Latin letters and a combining accent, punctuation and whitespace:
 # ASCII, U+2000 and U+2001 (which NFC maps onto other spaces), NEL, the file
-# separator U+001C and the ideographic space.
+# separator U+001C and the ideographic space.  The third line holds the edges
+# of normalize.PLAIN_WORD's class, inside it and just outside it, so one
+# document mixes tokens that skip NFC, scan and classify with tokens that do
+# not.
 COUNTING_ALPHABET = (
     "कनखाि\u094d\u093c\u0929\u0958।॥०१२\u09e7"
     "\u00a0\u200c\u200d aZ09\u0301#,.-\t\n"
+    "\u0900\u093b\u093d\u0950\u0951\u0954\u0955\u0957\u095f\u0960\u0963\u0970\u097f\u0931\u0934"
     "\u2000\u2001\u0085\u001c\u3000"
 )
 
@@ -191,6 +195,18 @@ def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_CHUNK_CHARS", chunk_chars)
         assert count_document_words(Document(path="d.txt", raw_text=raw), policy) == expected
+
+
+def test_plain_and_normalized_tokens_meet_in_one_surface():
+    # the precomposed letter is plain; its NFD spelling is normalized onto it
+    doc = Document(path="d.txt", raw_text="\u0929 \u0928\u093c")
+    assert count_document_words(doc) == {"\u0929": 2}
+
+
+def test_reordered_stress_mark_is_normalized():
+    # NFC puts the virama (class 9) before the stress mark (class 230)
+    doc = Document(path="d.txt", raw_text="\u0915\u0951\u094d")
+    assert count_document_words(doc) == {"\u0915\u094d\u0951": 1}
 
 
 def test_chunking_never_cuts_a_run(monkeypatch):

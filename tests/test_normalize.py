@@ -1,3 +1,4 @@
+import itertools
 import re
 import unicodedata
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoplemma.normalize import (
+    PLAIN_WORD,
+    _WORD_RUN,
     FilterPolicy,
     Sentence,
     Token,
@@ -14,6 +17,7 @@ from stoplemma.normalize import (
     normalize_text,
     read_records,
     split_sentences,
+    token_kind,
     tokenize,
 )
 
@@ -121,6 +125,42 @@ CLASSIFY_ALPHABET = st.one_of(
 @given(st.text(alphabet=CLASSIFY_ALPHABET, max_size=8))
 def test_classify_matches_the_previous_rule(surface):
     assert classify(surface) is previous_classify(surface)
+
+
+# the plain Devanagari class that counting takes without NFC, scan or
+# classify, listed here from its definition rather than from PLAIN_WORD
+PLAIN_CLASS = [chr(c) for lo, hi in [(0x0900, 0x093B), (0x093D, 0x0950), (0x0955, 0x0957),
+                                     (0x0960, 0x0963), (0x0970, 0x097F), (0x200C, 0x200D)]
+               for c in range(lo, hi + 1)]
+
+
+class TestPlainWord:
+    def test_pattern_matches_exactly_the_class(self):
+        assert len(PLAIN_CLASS) == 105
+        matched = [chr(c) for c in range(0x110000) if PLAIN_WORD.fullmatch(chr(c))]
+        assert matched == PLAIN_CLASS
+
+    def test_every_code_point_and_ordered_pair_is_nfc(self):
+        for a in PLAIN_CLASS:
+            assert unicodedata.normalize("NFC", a) == a
+        for a, b in itertools.product(PLAIN_CLASS, repeat=2):
+            assert unicodedata.normalize("NFC", a + b) == a + b, (a, b)
+
+    def test_every_code_point_is_one_kept_devanagari_word(self):
+        for ch in PLAIN_CLASS:
+            assert _WORD_RUN.fullmatch(ch), hex(ord(ch))
+            assert token_kind(ch) is TokenKind.DEVANAGARI_WORD, hex(ord(ch))
+
+    @pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=4)))
+    def test_every_policy_keeps_devanagari_words(self, flags):
+        assert FilterPolicy(*flags).keeps(TokenKind.DEVANAGARI_WORD)
+
+
+@given(st.text(alphabet=PLAIN_CLASS, min_size=1, max_size=12))
+def test_plain_strings_are_nfc_devanagari_words(s):
+    assert PLAIN_WORD.fullmatch(s)
+    assert unicodedata.is_normalized("NFC", s)
+    assert token_kind(s) is TokenKind.DEVANAGARI_WORD
 
 
 class TestSplitSentences:

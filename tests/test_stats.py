@@ -201,7 +201,7 @@ class TestPosRankAnalysis:
         equal = RankedList(tuple((f"w{i}", 5) for i in range(4)))
         report = pos_rank_analysis([equal], PosLexicon(tags={"w0": "VM"}), use_frequency=True)
         assert {c.group: c.error for c in report.cells if c.group in ("VM", "CC")} == {
-            "VM": "ranks have zero variance", "CC": "membership is constant"}
+            "VM": "counts have zero variance", "CC": "membership is constant"}
 
     def test_aggregation_arithmetic(self):
         mean, sd, hi, lo = descriptive_stats([-0.1, -0.04])
