@@ -28,5 +28,5 @@ print(f"out-of-lexicon rate: {oov_rate(words.counts, lex):.3f}")
 
 # Lemmatization collapses inflected forms, so the lemma table is never
 # larger than the word table and its head is more stable.
-print("top words: ", top_k(rank_items(words), 8))
-print("top lemmas:", top_k(rank_items(lemmas), 8))
+print("top words: ", top_k(rank_items(words.counts), 8))
+print("top lemmas:", top_k(rank_items(lemmas.counts), 8))

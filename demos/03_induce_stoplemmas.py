@@ -27,7 +27,7 @@ from stoplemma.lemma import load_lexicon
 
 lex = load_lexicon(data_path("demo_lexicon.tsv"))
 lists = [
-    load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"), f"list{i}")
+    load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
     for i in (1, 2, 3)
 ]
 raw, deduped = dedup_across_lists(lists)
@@ -37,12 +37,12 @@ corpus = load_corpus(data_path("demo_corpus"), id="demo")
 table = count_lemmas(corpus, lex=lex)
 
 set_a = build_set_a(lists, lex, k=20)
-set_b = build_set_b([rank_items(table)], k=20)
+set_b = build_set_b([rank_items(table.counts)], k=20)
 print(f"set A: {len(set_a)} lemmas, set B: {len(set_b)} lemmas")
 
 final = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))
 print(f"final list ({len(final)} lemmas):")
-for lemma, count in final.lemmas:
+for lemma, count in final.entries:
     print(f"  {lemma}\t{count}")
 
 report = induction_report(lists, set_a, set_b, final)

@@ -20,16 +20,15 @@ from stoplemma.stats import (
 )
 
 paths = sorted(data_path("table3_top10").glob("*.tsv"))
-lists = [read_ranked_tsv(p) for p in paths]
-ids = [p.stem for p in paths]
+lists = {p.stem: read_ranked_tsv(p) for p in paths}
 
-report = top_k_overlap(lists, k=10, source_ids=ids)
+report = top_k_overlap(lists, k=10)
 print(f"{report.unique_items} distinct lemmas across {report.source_count} top-10 lists")
 everywhere = sorted(l for l, n in report.counts.items() if n == report.max_count)
 print(f"present in all {report.max_count} sources:", everywhere)
 
 pos = load_pos_lexicon(data_path("demo_pos_lexicon.tsv"))
-analysis = pos_rank_analysis(lists, pos, source_ids=ids)
+analysis = pos_rank_analysis(lists, pos)
 for summary in analysis.summaries:
     if summary.mean_r is None:
         print(f"  {summary.group:12} undefined in: {summary.flagged_sources}")

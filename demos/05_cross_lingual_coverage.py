@@ -9,12 +9,12 @@ translations, and measures how many of the resulting lemmas the bundled
 
 from stoplemma import data_path
 from stoplemma.assess import assess_coverage, format_summary, load_mapping
-from stoplemma.induce import load_reference_list
+from stoplemma.induce import load_stopword_list
 from stoplemma.lemma import load_lexicon
 
 mapping = load_mapping(data_path("english_hindi_mapping.tsv"))
 lex = load_lexicon(data_path("demo_lexicon.tsv"))
-stop = set(load_reference_list(data_path("table5_stoplemmas.txt")))
+stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")).entries)
 
 report = assess_coverage(mapping, lex, stop)
 print(format_summary(report))

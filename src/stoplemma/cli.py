@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import tempfile
 from functools import partial
@@ -112,7 +113,7 @@ def _hash_tree(path: Path) -> str:
         return _sha256(path)
     h = hashlib.sha256()
     for p in corpus_mod.document_paths(path):
-        h.update(str(p.relative_to(path)).encode())
+        h.update(os.fsencode(p.relative_to(path)))
         h.update(_sha256(p).encode())
     return h.hexdigest()
 
@@ -148,8 +149,8 @@ def cmd_freq(args) -> tuple[list[str], dict]:
         words = freq_mod.count_words(source, policy)
         lemmas = freq_mod.lemma_table(words, lex)
         tables += [words, lemmas]
-        outputs[f"words_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(words))
-        outputs[f"lemmas_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(lemmas))
+        outputs[f"words_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(words.counts))
+        outputs[f"lemmas_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(lemmas.counts))
     outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
     return inputs, outputs
 
@@ -163,14 +164,14 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
-    lists = [induce_mod.load_stopword_list(path, source_id=ident) for ident, path in stoplists]
+    lists = [induce_mod.load_stopword_list(path) for _, path in stoplists]
     lemma_tables = []
     ranked = []
     for ident, path in corpora:
         source = corpus_mod.load_corpus(path, id=ident)
         table = freq_mod.count_lemmas(source, policy, lex)
         lemma_tables.append(table)
-        ranked.append(freq_mod.rank_items(table))
+        ranked.append(freq_mod.rank_items(table.counts))
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
     set_b = induce_mod.build_set_b(ranked, k=args.k_b)
@@ -186,8 +187,8 @@ def cmd_induce(args) -> tuple[list[str], dict]:
 def cmd_overlap(args) -> tuple[list[str], dict]:
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs))
-    lists = [freq_mod.read_ranked_tsv(path) for _, path in ranked_specs]
-    report = stats_mod.top_k_overlap(lists, k=args.k, source_ids=[i for i, _ in ranked_specs])
+    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
+    report = stats_mod.top_k_overlap(lists, k=args.k)
     summary = {
         "k": report.k,
         "source_count": report.source_count,
@@ -206,15 +207,9 @@ def cmd_posstats(args) -> tuple[list[str], dict]:
         raise InputSpecError(f"--threshold must be a finite number, got {args.threshold!r}")
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
-    lists = [freq_mod.read_ranked_tsv(path) for _, path in ranked_specs]
+    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
     pos_lex = stats_mod.load_pos_lexicon(args.pos_lexicon)
-    report = stats_mod.pos_rank_analysis(
-        lists,
-        pos_lex,
-        depth=args.depth,
-        source_ids=[i for i, _ in ranked_specs],
-        use_frequency=args.use_frequency,
-    )
+    report = stats_mod.pos_rank_analysis(lists, pos_lex, depth=args.depth, use_frequency=args.use_frequency)
     if all(s.mean_r is None for s in report.summaries):
         raise ComputeError("correlation undefined for every (group, source) cell")
     verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
@@ -230,7 +225,7 @@ def cmd_assess(args) -> tuple[list[str], dict]:
     inputs = _existing(args.mapping, args.list, args.lexicon)
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
-    stop_lemmas = set(induce_mod.load_reference_list(args.list))
+    stop_lemmas = set(induce_mod.load_stopword_list(args.list).entries)
     report = assess_mod.assess_coverage(mapping, lex, stop_lemmas)
     summary = assess_mod.format_summary(report) + "\n"
     return inputs, {

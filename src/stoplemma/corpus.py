@@ -46,8 +46,6 @@ class Document:
 @dataclass(frozen=True)
 class CorpusSource:
     id: str
-    name: str
-    domain_label: str
     documents: tuple[Document, ...]
 
     def __post_init__(self):
@@ -123,7 +121,7 @@ def load_corpus(root: str | Path, id: str) -> CorpusSource:
         Document(path=str(p.relative_to(root)), raw_text=read_text(p, CorpusError))
         for p in paths
     )
-    return CorpusSource(id=id, name=id, domain_label="", documents=documents)
+    return CorpusSource(id=id, documents=documents)
 
 
 def metadata_summary(corpus: CorpusSource, metadata: dict[str, DocumentMeta]) -> MetadataSummary:

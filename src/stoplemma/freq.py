@@ -21,7 +21,7 @@ _SPACE = re.compile(r"\s")
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    item_kind: str  # "word", "lemma" or "item"
+    item_kind: str  # "word" or "lemma"
     counts: dict[str, int]
     source_id: str
 
@@ -37,6 +37,9 @@ class FrequencyTable:
 @dataclass(frozen=True)
 class RankedList:
     entries: tuple[tuple[str, int], ...]  # (item, count) in rank order; an entry's rank is its position + 1
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 def _iter_chunks(text: str) -> Iterable[str]:
@@ -108,9 +111,9 @@ def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
     return FrequencyTable(item_kind="lemma", counts=counts, source_id=words.source_id)
 
 
-def rank_items(table: FrequencyTable) -> RankedList:
-    """Order by descending count, breaking ties by ascending codepoint order."""
-    ordered = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+def rank_items(counts: Mapping[str, int]) -> RankedList:
+    """The items of ``counts`` by descending count, ties by ascending codepoint order."""
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedList(entries=tuple(ordered))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .freq import FrequencyTable, RankedList, merge_counts, rank_items, top_k
+from .freq import RankedList, merge_counts, rank_items, top_k
 from .lemma import LemmaLexicon, gen_lemma
 from .normalize import read_records
 
@@ -19,17 +19,8 @@ class InductionError(ValueError):
 
 @dataclass(frozen=True)
 class StopWordList:
-    source_id: str
     entries: tuple[str, ...]  # published rank order, deduplicated
     duplicates_removed: int = 0
-
-
-@dataclass(frozen=True)
-class StopLemmaList:
-    lemmas: tuple[tuple[str, int], ...]  # (lemma, aggregate count), count-descending
-
-    def __len__(self) -> int:
-        return len(self.lemmas)
 
 
 @dataclass(frozen=True)
@@ -41,14 +32,13 @@ class InductionReport:
     final_size: int
 
 
-def load_stopword_list(path: str | Path, source_id: str) -> StopWordList:
+def load_stopword_list(path: str | Path) -> StopWordList:
     """One entry per line, ``#`` comments, in-file duplicates dropped."""
     records = list(read_records(path, 1, InductionError))
     entries = dict.fromkeys(" ".join(entry.split()) for _, (entry,) in records)
     if not entries:
         raise InductionError(f"{path}: stop word list is empty")
-    return StopWordList(source_id=source_id, entries=tuple(entries),
-                        duplicates_removed=len(records) - len(entries))
+    return StopWordList(entries=tuple(entries), duplicates_removed=len(records) - len(entries))
 
 
 def dedup_across_lists(lists: Sequence[StopWordList]) -> tuple[int, int]:
@@ -83,14 +73,13 @@ def build_final_list(
     set_a: set[str],
     set_b: set[str],
     aggregate_counts: Mapping[str, int],
-) -> StopLemmaList:
-    """Set intersection ordered by aggregate frequency (desc, codepoint ties)."""
+) -> RankedList:
+    """A ∩ B as (lemma, aggregate count) entries, ranked as ``rank_items`` ranks."""
     common = set_a & set_b
     missing = sorted(l for l in common if l not in aggregate_counts)
     if missing:
         raise InductionError(f"no aggregate count for lemmas: {missing}")
-    table = FrequencyTable("lemma", {l: aggregate_counts[l] for l in common}, "aggregate")
-    return StopLemmaList(lemmas=rank_items(table).entries)
+    return rank_items({l: aggregate_counts[l] for l in common})
 
 
 def aggregate_lemma_counts(tables: Sequence[Mapping[str, int]]) -> dict[str, int]:
@@ -102,7 +91,7 @@ def induction_report(
     lists: Sequence[StopWordList],
     set_a: set[str],
     set_b: set[str],
-    final: StopLemmaList,
+    final: RankedList,
 ) -> InductionReport:
     raw, deduped = dedup_across_lists(lists)
     return InductionReport(
@@ -114,12 +103,7 @@ def induction_report(
     )
 
 
-def write_stoplemma_list(final: StopLemmaList, path: str | Path) -> None:
+def write_stoplemma_list(final: RankedList, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for lemma, _ in final.lemmas:
+        for lemma, _ in final.entries:
             fh.write(lemma + "\n")
-
-
-def load_reference_list(path: str | Path) -> tuple[str, ...]:
-    """Read a reference list (e.g. the bundled 311-entry list): a stop word list file."""
-    return load_stopword_list(path, source_id=str(path)).entries

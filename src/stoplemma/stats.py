@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .freq import FrequencyTable, RankedList, rank_items, top_k, write_tsv
+from .freq import RankedList, rank_items, top_k, write_tsv
 from .normalize import read_pairs, write_json
 
 
@@ -95,14 +95,12 @@ def load_pos_lexicon(path: str | Path) -> PosLexicon:
     return PosLexicon(tags=read_pairs(path))
 
 
-def top_k_overlap(lists: Sequence[RankedList], k: int, source_ids: Sequence[str] | None = None) -> OverlapReport:
-    """Count, per item, in how many sources it appears among the top k."""
+def top_k_overlap(lists: Mapping[str, RankedList], k: int) -> OverlapReport:
+    """Count, per item, in how many ranked lists (keyed by source ID) it is among the top k."""
     if len(lists) < 2:
         raise ValueError("overlap needs at least two ranked lists")
-    if source_ids is None:
-        source_ids = [str(i) for i in range(len(lists))]
-    counts = Counter(item for ranked in lists for item in set(top_k(ranked, k)))
-    short = tuple(sid for sid, ranked in zip(source_ids, lists, strict=True) if len(ranked.entries) < k)
+    counts = Counter(item for ranked in lists.values() for item in set(top_k(ranked, k)))
+    short = tuple(sid for sid, ranked in lists.items() if len(ranked) < k)
     return OverlapReport(k=k, source_count=len(lists), counts=counts, short_sources=short)
 
 
@@ -178,18 +176,18 @@ def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], 
 
 
 def pos_rank_analysis(
-    lists: Sequence[RankedList],
+    lists: Mapping[str, RankedList],
     lex: PosLexicon,
     depth: Optional[int] = None,
-    source_ids: Sequence[str] | None = None,
     use_frequency: bool = False,
 ) -> CorrelationReport:
     """Correlate POS-group membership with rank over each source's top entries.
 
-    Cells where r is undefined (a group absent or omnipresent in a source) are
-    flagged and excluded from that group's descriptive statistics.  ``depth``,
-    when given, must be at least 1; by default every entry is used.
-    ``source_ids``, when given, holds one ID per list.
+    ``lists`` maps each source ID to its ranked list; a group's cells follow
+    the mapping's order.  Cells where r is undefined (a group absent or
+    omnipresent in a source) are flagged and excluded from that group's
+    descriptive statistics.  ``depth``, when given, must be at least 1; by
+    default every entry is used.
 
     Each cell has the r and p of ``point_biserial`` over the source's 0/1
     group membership and its ranks (or, with ``use_frequency``, its counts).
@@ -199,11 +197,9 @@ def pos_rank_analysis(
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if source_ids is None:
-        source_ids = [str(i) for i in range(len(lists))]
-    actual_depth = depth or max((len(l.entries) for l in lists), default=0)
+    actual_depth = depth or max(map(len, lists.values()), default=0)
     columns = []  # columns[s][g] is the cell of group g in source s
-    for sid, ranked in zip(source_ids, lists, strict=True):
+    for sid, ranked in lists.items():
         try:
             columns.append(_source_cells(sid, ranked.entries[:depth], lex, use_frequency))
         except OverflowError as exc:  # a count beyond what a float holds
@@ -274,7 +270,7 @@ def reject_pos_hypothesis(report: CorrelationReport, threshold: float = 0.5) -> 
 
 def write_overlap_tsv(report: OverlapReport, path: str | Path) -> None:
     """Word-cloud data: ``item<TAB>count`` ordered by count desc, codepoint ties."""
-    write_tsv(rank_items(FrequencyTable("item", report.counts, "overlap")), path)
+    write_tsv(rank_items(report.counts), path)
 
 
 def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:

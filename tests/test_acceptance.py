@@ -22,14 +22,14 @@ import pytest
 from stoplemma import data_path
 from stoplemma.cli import main
 from stoplemma.corpus import CorpusSource, Document
-from stoplemma.freq import FrequencyTable, count_lemmas, count_words, merge_counts, rank_items, top_k
+from stoplemma.freq import count_lemmas, count_words, merge_counts, rank_items, top_k
 from stoplemma.induce import (
     StopWordList,
     aggregate_lemma_counts,
     build_final_list,
     build_set_a,
     build_set_b,
-    load_reference_list,
+    load_stopword_list,
 )
 from stoplemma.assess import assess_coverage, load_mapping, TranslationMapping
 from stoplemma.lemma import LemmaLexicon, load_lexicon
@@ -65,7 +65,7 @@ def make_vocab(size):
 
 def corpus_of(texts, id):
     docs = tuple(Document(path=f"{i}.txt", raw_text=t) for i, t in enumerate(texts))
-    return CorpusSource(id=id, name=id, domain_label="", documents=docs)
+    return CorpusSource(id=id, documents=docs)
 
 
 def test_criterion_1_set_algebra_matches_brute_force():
@@ -89,14 +89,14 @@ def test_criterion_1_set_algebra_matches_brute_force():
                 ]
                 corpora.append(corpus_of(texts, f"c{c}"))
             stop_lists = [
-                StopWordList(f"s{i}", tuple(rng.sample(vocab, rng.randint(1, len(vocab)))))
-                for i in range(rng.randint(2, 5))
+                StopWordList(tuple(rng.sample(vocab, rng.randint(1, len(vocab)))))
+                for _ in range(rng.randint(2, 5))
             ]
             k = rng.randint(1, 30)
 
             tables = [count_lemmas(c, lex=lex) for c in corpora]
             got_a = build_set_a(stop_lists, lex, k=k)
-            got_b = build_set_b([rank_items(t) for t in tables], k=k)
+            got_b = build_set_b([rank_items(t.counts) for t in tables], k=k)
             agg = aggregate_lemma_counts([t.counts for t in tables])
             got_final = build_final_list(got_a, got_b, agg)
 
@@ -120,8 +120,8 @@ def test_criterion_1_set_algebra_matches_brute_force():
             assert got_a == want_a
             assert got_b == want_b
             assert agg == want_agg
-            assert [l for l, _ in got_final.lemmas] == want_final
-            assert dict(got_final.lemmas) == {l: want_agg[l] for l in want_final}
+            assert [l for l, _ in got_final.entries] == want_final
+            assert dict(got_final.entries) == {l: want_agg[l] for l in want_final}
         assert time.monotonic() - start < 10.0
 
 
@@ -157,7 +157,7 @@ def test_criterion_2_point_biserial_equals_pearson():
 
 def test_criterion_3_reference_list_facts():
     with verdict(3, "bundled reference list: 311 entries, starts with का, has है, lacks जरूर"):
-        lemmas = load_reference_list(data_path("table5_stoplemmas.txt"))
+        lemmas = load_stopword_list(data_path("table5_stoplemmas.txt")).entries
         assert len(lemmas) == 311
         assert lemmas[0] == "का"
         assert "है" in lemmas
@@ -166,7 +166,7 @@ def test_criterion_3_reference_list_facts():
 
 def test_criterion_4_overlap_replay():
     with verdict(4, "eight bundled top-10 rows: max overlap count 8, 18 unique lemmas"):
-        lists = [read_ranked_tsv(p) for p in sorted(data_path("table3_top10").glob("*.tsv"))]
+        lists = {p.stem: read_ranked_tsv(p) for p in sorted(data_path("table3_top10").glob("*.tsv"))}
         report = top_k_overlap(lists, k=10)
         assert report.source_count == 8
         assert report.max_count == 8
@@ -177,7 +177,7 @@ def test_criterion_5_coverage_replay():
     with verdict(5, "coverage replay: 74 mapped lemmas, miss exactly जरूर, ratio 73/74; identity self-coverage 1.0"):
         mapping = load_mapping(data_path("english_hindi_mapping.tsv"))
         lex = load_lexicon(data_path("demo_lexicon.tsv"))
-        stop = set(load_reference_list(data_path("table5_stoplemmas.txt")))
+        stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")).entries)
         report = assess_coverage(mapping, lex, stop)
         assert len(report.mapped_lemma_set) == 74
         assert report.misses == {"जरूर"}

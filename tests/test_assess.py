@@ -7,7 +7,7 @@ from stoplemma.assess import (
     load_mapping,
 )
 from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon, load_lexicon
-from stoplemma.induce import load_reference_list
+from stoplemma.induce import load_stopword_list
 
 
 def write_mapping(tmp_path, content):
@@ -97,7 +97,7 @@ class TestBundledMappingFixture:
     def test_english_replay(self, data_dir, demo_lexicon_path, table5_path):
         mapping = load_mapping(data_dir / "english_hindi_mapping.tsv")
         lex = load_lexicon(demo_lexicon_path)
-        stop = set(load_reference_list(table5_path))
+        stop = set(load_stopword_list(table5_path).entries)
         report = assess_coverage(mapping, lex, stop)
         assert report.external_total == 179
         assert report.untranslatable_count == 3

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import re
@@ -77,8 +78,8 @@ class TestFreqCommand:
         lex = load_lexicon(demo_args["lexicon"])
         for ident, root in [("hash", corpus), ("demo", data_path("demo_corpus"))]:
             words = count_words(load_corpus(root, id=ident), policy)
-            assert read_ranked_tsv(out / f"words_{ident}.tsv") == rank_items(words)
-            assert read_ranked_tsv(out / f"lemmas_{ident}.tsv") == rank_items(lemma_table(words, lex))
+            assert read_ranked_tsv(out / f"words_{ident}.tsv") == rank_items(words.counts)
+            assert read_ranked_tsv(out / f"lemmas_{ident}.tsv") == rank_items(lemma_table(words, lex).counts)
         assert "#\t4" in (out / "words_hash.tsv").read_text(encoding="utf-8").splitlines()
 
     def test_deterministic(self, tmp_path, demo_args):
@@ -114,15 +115,15 @@ class TestInduceCommand:
 
         lex = load_lexicon(demo_args["lexicon"])
         lists = [
-            load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"), f"l{i}")
+            load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
             for i in (1, 2, 3)
         ]
         table = count_lemmas(load_corpus(data_path("demo_corpus"), id="demo"), lex=lex)
         set_a = build_set_a(lists, lex, k=20)
-        set_b = build_set_b([rank_items(table)], k=20)
+        set_b = build_set_b([rank_items(table.counts)], k=20)
         expected = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))
         got = (out / "stoplemmas.txt").read_text(encoding="utf-8").split()
-        assert got == [l for l, _ in expected.lemmas]
+        assert got == [l for l, _ in expected.entries]
 
     def test_report_sizes_consistent(self, tmp_path, demo_args):
         out = tmp_path / "out"
@@ -644,6 +645,23 @@ def test_corpus_hash_covers_only_its_documents(tmp_path):
     assert json.loads(provenance())["inputs"] == json.loads(first)["inputs"]
     (corpus / "extra.txt").write_text("घर\n", encoding="utf-8")
     assert json.loads(provenance())["inputs"] != json.loads(first)["inputs"]
+
+
+def test_corpus_hash_takes_a_document_name_that_is_not_utf8_as_its_bytes(tmp_path):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    docs = {b"a.txt": "घर है\n".encode(), b"\xff.txt": "का है\n".encode()}
+    try:
+        for name, data in docs.items():
+            (corpus / os.fsdecode(name)).write_bytes(data)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "out"
+    assert run(["freq", "--corpus", f"c={corpus}", "--out", out]) == 0
+    h = hashlib.sha256()
+    for name, data in docs.items():  # a.txt sorts first: "a" < "\udcff", the name's str form
+        h.update(name + hashlib.sha256(data).hexdigest().encode())
+    assert json.loads((out / "provenance.json").read_text())["inputs"][str(corpus)] == h.hexdigest()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

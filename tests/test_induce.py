@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stoplemma import data_path
-from stoplemma.freq import FrequencyTable, rank_items
+from stoplemma.freq import RankedList, rank_items
 from stoplemma.induce import (
     InductionError,
     StopWordList,
@@ -13,7 +13,6 @@ from stoplemma.induce import (
     build_set_b,
     dedup_across_lists,
     induction_report,
-    load_reference_list,
     load_stopword_list,
     write_stoplemma_list,
 )
@@ -27,18 +26,18 @@ def write_list(tmp_path, name, lines):
 
 
 def ranked_from(counts):
-    return rank_items(FrequencyTable("lemma", counts, "t"))
+    return rank_items(counts)
 
 
 class TestLoadStopwordList:
     def test_dedup_logged(self, tmp_path):
-        sl = load_stopword_list(write_list(tmp_path, "l.txt", ["का", "का", "है"]), "s1")
+        sl = load_stopword_list(write_list(tmp_path, "l.txt", ["का", "का", "है"]))
         assert sl.entries == ("का", "है")
         assert sl.duplicates_removed == 1
 
     def test_comment_only_file_is_empty_error(self, tmp_path):
         with pytest.raises(InductionError, match="empty"):
-            load_stopword_list(write_list(tmp_path, "l.txt", ["# comment"]), "s1")
+            load_stopword_list(write_list(tmp_path, "l.txt", ["# comment"]))
 
     def test_three_list_cross_dedup(self, tmp_path):
         # 30 raw entries over 3 lists reduce to 24 distinct
@@ -46,7 +45,7 @@ class TestLoadStopwordList:
         l2 = ["का", "है", "एक", "हो", "नहीं", "मैं", "आप", "जो", "कर", "भी"]
         l3 = ["का", "और", "से", "तो", "ही", "था", "थे", "गया", "कुछ", "यह"]
         lists = [
-            load_stopword_list(write_list(tmp_path, f"{i}.txt", l), f"s{i}")
+            load_stopword_list(write_list(tmp_path, f"{i}.txt", l))
             for i, l in enumerate([l1, l2, l3])
         ]
         raw, deduped = dedup_across_lists(lists)
@@ -56,12 +55,12 @@ class TestLoadStopwordList:
 
 class TestBuildSetA:
     def test_single_element(self):
-        lists = [StopWordList("s1", ("गया",))]
+        lists = [StopWordList(("गया",))]
         lex = LemmaLexicon(entries={"गया": "जा"})
         assert build_set_a(lists, lex, k=100) == {"जा"}
 
     def test_disjoint_union(self):
-        lists = [StopWordList("s1", ("का", "है")), StopWordList("s2", ("घर", "जा"))]
+        lists = [StopWordList(("का", "है")), StopWordList(("घर", "जा"))]
         assert build_set_a(lists, EMPTY_LEXICON, k=100) == {"का", "है", "घर", "जा"}
 
     def test_overlapping_morphology_collapses(self):
@@ -69,9 +68,9 @@ class TestBuildSetA:
             "गया": "जा", "जाता": "जा", "किया": "कर", "करते": "कर", "हैं": "है",
         })
         lists = [
-            StopWordList("s1", ("गया", "जाता", "किया", "का")),
-            StopWordList("s2", ("करते", "हैं", "है", "गया")),
-            StopWordList("s3", ("घर", "राम", "जाता", "किया")),
+            StopWordList(("गया", "जाता", "किया", "का")),
+            StopWordList(("करते", "हैं", "है", "गया")),
+            StopWordList(("घर", "राम", "जाता", "किया")),
         ]
         # brute force: union of per-list lemma images
         expected = set()
@@ -81,12 +80,12 @@ class TestBuildSetA:
         assert result == expected == {"जा", "कर", "का", "है", "घर", "राम"}
 
     def test_k_truncates_each_list(self):
-        lists = [StopWordList("s1", ("का", "है", "घर"))]
+        lists = [StopWordList(("का", "है", "घर"))]
         assert build_set_a(lists, EMPTY_LEXICON, k=2) == {"का", "है"}
 
     def test_multiword_entries_lemmatized_tokenwise(self):
         lex = LemmaLexicon(entries={"की": "का"})
-        lists = [StopWordList("s1", ("की तरह",))]
+        lists = [StopWordList(("की तरह",))]
         assert build_set_a(lists, lex, k=10) == {"का तरह"}
 
 
@@ -112,7 +111,7 @@ class TestBuildSetB:
 class TestBuildFinalList:
     def test_intersection(self):
         final = build_final_list({"x", "y"}, {"y", "z"}, {"y": 7})
-        assert final.lemmas == (("y", 7),)
+        assert final == RankedList((("y", 7),))
 
     def test_disjoint_inputs(self):
         final = build_final_list({"x"}, {"z"}, {})
@@ -127,7 +126,7 @@ class TestBuildFinalList:
             {"का", "जा", "है"}, {"का", "जा", "है"},
             {"का": 9, "जा": 3, "है": 3},
         )
-        assert [l for l, _ in final.lemmas] == ["का", "जा", "है"]
+        assert [l for l, _ in final.entries] == ["का", "जा", "है"]
 
     def test_small_fixture_against_brute_force(self):
         set_a = {"का", "है", "जा", "कर", "घर", "राम"}
@@ -135,15 +134,15 @@ class TestBuildFinalList:
         counts = {"का": 50, "है": 40, "जा": 10, "नदी": 5, "पेड़": 2}
         final = build_final_list(set_a, set_b, counts)
         expected = sorted(set_a & set_b, key=lambda l: (-counts[l], l))
-        assert [l for l, _ in final.lemmas] == expected
-        assert {l for l, _ in final.lemmas} <= set_a & set_b
+        assert [l for l, _ in final.entries] == expected
+        assert {l for l, _ in final.entries} <= set_a & set_b
         assert len(final) <= min(len(set_a), len(set_b))
 
 
 def test_induction_report_counts(tmp_path):
     lists = [
-        load_stopword_list(write_list(tmp_path, "a.txt", ["का", "का", "है"]), "a"),
-        load_stopword_list(write_list(tmp_path, "b.txt", ["का", "घर"]), "b"),
+        load_stopword_list(write_list(tmp_path, "a.txt", ["का", "का", "है"])),
+        load_stopword_list(write_list(tmp_path, "b.txt", ["का", "घर"])),
     ]
     set_a = build_set_a(lists, EMPTY_LEXICON, k=10)
     set_b = {"का", "घर", "जा"}
@@ -160,12 +159,12 @@ def test_list_export_roundtrip(tmp_path):
     final = build_final_list({"का", "है"}, {"का", "है"}, {"का": 2, "है": 1})
     out = tmp_path / "list.txt"
     write_stoplemma_list(final, out)
-    assert load_reference_list(out) == ("का", "है")
+    assert load_stopword_list(out).entries == ("का", "है")
 
 
 class TestReferenceList:
     def test_bundled_list_facts(self, table5_path):
-        lemmas = load_reference_list(table5_path)
+        lemmas = load_stopword_list(table5_path).entries
         assert len(lemmas) == 311
         assert lemmas[0] == "का"
         assert "है" in lemmas
@@ -174,8 +173,8 @@ class TestReferenceList:
 
     def test_read_as_a_stop_word_list(self, tmp_path):
         path = write_list(tmp_path, "ref.txt", ["का  है", "# comment", "घर", "का है", " घर "])
-        assert load_reference_list(path) == load_stopword_list(path, "ref").entries == ("का है", "घर")
+        assert load_stopword_list(path).entries == ("का है", "घर")
 
     def test_empty_reference_list_rejected(self, tmp_path):
         with pytest.raises(InductionError, match="empty"):
-            load_reference_list(write_list(tmp_path, "ref.txt", ["# comment"]))
+            load_stopword_list(write_list(tmp_path, "ref.txt", ["# comment"]))

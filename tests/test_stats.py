@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplemma.freq import FrequencyTable, RankedList, rank_items, read_ranked_tsv
+from stoplemma.freq import RankedList, rank_items, read_ranked_tsv
 from stoplemma.stats import (
     DEFAULT_GROUPS,
     CorrelationCell,
@@ -23,25 +23,25 @@ from stoplemma.stats import (
 
 
 def ranked_from(counts):
-    return rank_items(FrequencyTable("lemma", counts, "t"))
+    return rank_items(counts)
 
 
 class TestTopKOverlap:
     def test_identical_lists(self):
         a = ranked_from({"का": 3, "है": 2, "जा": 1})
-        report = top_k_overlap([a, a], k=3)
+        report = top_k_overlap({"a": a, "b": a}, k=3)
         assert report.unique_items == 3
         assert set(report.counts.values()) == {2}
 
     def test_disjoint_lists(self):
         a = ranked_from({"का": 3, "है": 2, "जा": 1})
         b = ranked_from({"घर": 3, "राम": 2, "नदी": 1})
-        report = top_k_overlap([a, b], k=3)
+        report = top_k_overlap({"a": a, "b": b}, k=3)
         assert report.unique_items == 6
         assert set(report.counts.values()) == {1}
 
     def test_table3_rows(self, table3_paths):
-        lists = [read_ranked_tsv(p) for p in table3_paths]
+        lists = {p.stem: read_ranked_tsv(p) for p in table3_paths}
         report = top_k_overlap(lists, k=10)
         assert report.source_count == 8
         assert report.max_count == 8
@@ -52,10 +52,10 @@ class TestTopKOverlap:
 
     def test_sum_law_when_lists_long_enough(self):
         rng = random.Random(5)
-        lists = [
-            ranked_from({f"w{i}": rng.randint(1, 99) for i in range(10)})
-            for _ in range(4)
-        ]
+        lists = {
+            f"s{s}": ranked_from({f"w{i}": rng.randint(1, 99) for i in range(10)})
+            for s in range(4)
+        }
         report = top_k_overlap(lists, k=7)
         assert sum(report.counts.values()) == 7 * 4
         assert not report.short_sources
@@ -63,12 +63,12 @@ class TestTopKOverlap:
     def test_short_list_flagged(self):
         a = ranked_from({"का": 2, "है": 1})
         b = ranked_from({"का": 1})
-        report = top_k_overlap([a, b], k=2, source_ids=["a", "b"])
+        report = top_k_overlap({"a": a, "b": b}, k=2)
         assert report.short_sources == ("b",)
 
     def test_needs_two_lists(self):
         with pytest.raises(ValueError):
-            top_k_overlap([ranked_from({"का": 1})], k=1)
+            top_k_overlap({"a": ranked_from({"का": 1})}, k=1)
 
 
 class TestPointBiserial:
@@ -159,8 +159,8 @@ class TestPosRankAnalysis:
         })
 
     def test_absent_group_flagged(self):
-        lists = [ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2})]
-        report = pos_rank_analysis(lists, self.make_lex(), source_ids=["s"])
+        lists = {"s": ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2})}
+        report = pos_rank_analysis(lists, self.make_lex())
         sym = next(s for s in report.summaries if s.group == "SYM")
         assert sym.mean_r is None
         assert sym.flagged_sources == ("s",)
@@ -169,7 +169,7 @@ class TestPosRankAnalysis:
         # all PSP/PRP items at the best ranks
         counts = {"का": 90, "वह": 80, "में": 70}
         counts.update({f"w{i}": 60 - i for i in range(12)})
-        report = pos_rank_analysis([ranked_from(counts)], self.make_lex())
+        report = pos_rank_analysis({"s": ranked_from(counts)}, self.make_lex())
         cell = next(c for c in report.cells if c.group == "PSP/PRP")
         membership = [1, 1, 1] + [0] * 12
         ranks = [float(i + 1) for i in range(15)]
@@ -181,7 +181,7 @@ class TestPosRankAnalysis:
         counts = {"का": 90, "है": 41, "वह": 40, "घर": 12, "कर": 7, "में": 3, "राम": 1}
         ranked = ranked_from(counts)
         lex = self.make_lex()
-        report = pos_rank_analysis([ranked], lex, use_frequency=True)
+        report = pos_rank_analysis({"s": ranked}, lex, use_frequency=True)
         defined = [c for c in report.cells if c.r is not None]
         assert defined
         values = [float(c) for _, c in ranked.entries]
@@ -193,13 +193,13 @@ class TestPosRankAnalysis:
 
     def test_constant_membership_is_flagged_before_the_variance_is_checked(self):
         entries = tuple((f"w{i}", (4 - i) * 10**200) for i in range(4))  # squares overflow
-        report = pos_rank_analysis([RankedList(entries)], PosLexicon(tags={}), use_frequency=True)
+        report = pos_rank_analysis({"s": RankedList(entries)}, PosLexicon(tags={}), use_frequency=True)
         assert {c.error for c in report.cells} == {"membership is constant"}
-        with pytest.raises(ValueError, match="source 0: count too large"):
-            pos_rank_analysis([RankedList(entries)], PosLexicon(tags={"w0": "VM"}),
+        with pytest.raises(ValueError, match="source s: count too large"):
+            pos_rank_analysis({"s": RankedList(entries)}, PosLexicon(tags={"w0": "VM"}),
                               use_frequency=True)
         equal = RankedList(tuple((f"w{i}", 5) for i in range(4)))
-        report = pos_rank_analysis([equal], PosLexicon(tags={"w0": "VM"}), use_frequency=True)
+        report = pos_rank_analysis({"s": equal}, PosLexicon(tags={"w0": "VM"}), use_frequency=True)
         assert {c.group: c.error for c in report.cells if c.group in ("VM", "CC")} == {
             "VM": "counts have zero variance", "CC": "membership is constant"}
 
@@ -211,7 +211,7 @@ class TestPosRankAnalysis:
     def test_depth_limits_window(self):
         counts = {f"w{i}": 100 - i for i in range(20)}
         counts["का"] = 200
-        report = pos_rank_analysis([ranked_from(counts)], self.make_lex(), depth=5)
+        report = pos_rank_analysis({"s": ranked_from(counts)}, self.make_lex(), depth=5)
         assert report.depth == 5
         cell = next(c for c in report.cells if c.group == "PSP/PRP")
         assert cell.n1 + cell.n0 == 5
@@ -220,10 +220,10 @@ class TestPosRankAnalysis:
     def test_depth_below_one_rejected(self, depth):
         counts = {f"w{i}": 100 - i for i in range(20)}
         with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
-            pos_rank_analysis([ranked_from(counts)], self.make_lex(), depth=depth)
+            pos_rank_analysis({"s": ranked_from(counts)}, self.make_lex(), depth=depth)
 
     def test_hypothesis_threshold(self):
-        lists = [ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2, "घर": 1})]
+        lists = {"s": ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2, "घर": 1})}
         report = pos_rank_analysis(lists, self.make_lex())
         assert reject_pos_hypothesis(report, threshold=1.0)
         assert not reject_pos_hypothesis(report, threshold=0.0)
@@ -249,12 +249,12 @@ def test_default_groups_are_disjoint():
             assert not a.members & b.members, (a.name, b.name)
 
 
-def reference_analysis(lists, lex, depth, source_ids, use_frequency=False):
+def reference_analysis(lists, lex, depth, use_frequency=False):
     """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts."""
     cells, summaries = [], []
     for group in DEFAULT_GROUPS:
         row = []
-        for sid, ranked in zip(source_ids, lists):
+        for sid, ranked in lists.items():
             entries = ranked.entries[:depth]
             membership = [1 if lex.tag_of(item) in group.members else 0 for item, _ in entries]
             n1, n0 = sum(membership), len(entries) - sum(membership)
@@ -300,11 +300,9 @@ _COUNT = st.integers(0, 3) | st.integers(0, 2**53 // 80)
 def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, use_frequency):
     lex = PosLexicon(tags={item: tag for item, tag in zip(_ITEMS, tags) if tag})
     # counts in any order: pos_rank_analysis takes a list's order as given
-    lists = [RankedList(tuple(zip(order, counts))) for order in orders]
-    source_ids = [f"s{i}" for i in range(len(lists))]
-    report = pos_rank_analysis(lists, lex, depth=depth, source_ids=source_ids,
-                               use_frequency=use_frequency)
-    cells, summaries = reference_analysis(lists, lex, depth, source_ids, use_frequency)
+    lists = {f"s{i}": RankedList(tuple(zip(order, counts))) for i, order in enumerate(orders)}
+    report = pos_rank_analysis(lists, lex, depth=depth, use_frequency=use_frequency)
+    cells, summaries = reference_analysis(lists, lex, depth, use_frequency)
     # == on r and p: below 2**53 the exact integer sums give point_biserial's very floats
     assert report.cells == tuple(cells)
     assert report.summaries == tuple(summaries)
@@ -316,8 +314,7 @@ def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
     counts = [2**62 // (i + 1) + 3 * i for i in range(60)]
     order = [f"w{i}" for i in range(60)]
     lex = PosLexicon(tags={f"w{i}": "PSP" if i % 3 == 0 else "VM" for i in range(0, 60, 2)})
-    report = pos_rank_analysis([RankedList(tuple(zip(order, counts)))], lex, source_ids=["s"],
-                               use_frequency=True)
+    report = pos_rank_analysis({"s": RankedList(tuple(zip(order, counts)))}, lex, use_frequency=True)
     defined = [c for c in report.cells if c.error is None]
     assert [c.group for c in defined] == ["PSP/PRP", "VM"]
     values = [float(c) for c in counts]
@@ -328,11 +325,3 @@ def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
         assert cell.r == pytest.approx(r, rel=1e-12)
         assert cell.p == pytest.approx(p, rel=1e-12)
 
-
-@pytest.mark.parametrize("source_ids", [["only"], ["a", "b", "c"]])
-def test_source_ids_must_match_the_lists(source_ids):
-    lists = [ranked_from({"का": 3, "है": 2, "जा": 1})] * 2
-    with pytest.raises(ValueError):
-        pos_rank_analysis(lists, PosLexicon(tags={"का": "PSP"}), source_ids=source_ids)
-    with pytest.raises(ValueError):
-        top_k_overlap(lists, k=2, source_ids=source_ids)
