@@ -1,17 +1,16 @@
 """
-Devanagari preprocessing: normalization, sentence splitting, tokenization
-=========================================================================
+Devanagari preprocessing: normalization, tokenization
+=====================================================
 
 Walks a short Hindi passage through the text-cleaning pipeline: Unicode
-NFC normalization, whitespace collapsing, sentence segmentation on the
-danda and Western terminators, tokenization, and script-aware filtering.
+NFC normalization, whitespace collapsing, tokenization, and script-aware
+filtering.
 """
 
 from stoplemma.normalize import (
     FilterPolicy,
     filter_tokens,
     normalize_text,
-    split_sentences,
     tokenize,
 )
 
@@ -21,17 +20,12 @@ raw = "राम  घर गया।\nवह कल abc 123 आया था॥
 text = normalize_text(raw)
 print("normalized:", repr(text))
 
-# Step 2: sentence segmentation. The terminator stays with its sentence.
-for sentence in split_sentences(text):
-    start, end = sentence.span
-    print("sentence:", text[start:end])
-
-# Step 3: tokens, each tagged with a script/shape kind and its span.
+# Step 2: tokens, each tagged with a script/shape kind.
 tokens = tokenize(text)
 for token in tokens[:8]:
-    print(f"  {token.surface!r:14} {token.kind.value:18} span={token.span}")
+    print(f"  {token.surface!r:14} {token.kind.value}")
 
-# Step 4: the default policy keeps Devanagari words and digits only;
+# Step 3: the default policy keeps Devanagari words and digits only;
 # Latin words, Latin numbers, and symbols are dropped.
 kept = filter_tokens(tokens, FilterPolicy())
 print("kept surfaces:", [t.surface for t in kept])

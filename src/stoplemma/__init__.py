@@ -1,7 +1,7 @@
 """Hindi stop-lemma induction toolkit.
 
-Corpus preprocessing (Devanagari-aware normalization, sentence splitting,
-tokenization), raw-frequency ranking, lexicon-based lemmatization,
+Corpus preprocessing (Devanagari-aware normalization, tokenization),
+raw-frequency ranking, lexicon-based lemmatization,
 stop-lemma list induction via set algebra over public stop word lists and
 corpus rankings, plus top-k overlap and point-biserial rank/POS analyses.
 """

@@ -151,7 +151,7 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
 
 
 def write_report(tables: Sequence[FrequencyTable], path: str | Path) -> None:
-    """Per-source summary mirroring the corpus-metadata table columns."""
+    """Per-source summary: item kind, total tokens and unique items of each table."""
     report = [
         {
             "source_id": t.source_id,

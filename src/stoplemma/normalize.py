@@ -1,4 +1,4 @@
-"""Text normalization, sentence splitting and tokenization for Devanagari corpora.
+"""Text normalization and tokenization for Devanagari corpora.
 
 All downstream counting and lexicon lookup assumes NFC-normalized text, so
 normalization happens once, up front, and everything else operates on its
@@ -36,7 +36,6 @@ _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
 PLAIN_WORD = re.compile("[\u0900-\u093b\u093d-\u0950\u0955-\u0957\u0960-\u0963\u0970-\u097f\u200c\u200d]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
-_TERMINATORS = frozenset("।॥?!.")  # each is a single-character symbol token
 
 # classify's character classes; Devanagari words are U+0900–U+097F, ZWNJ, ZWJ
 _ASCII_DIGITS = frozenset(string.digits)
@@ -57,13 +56,6 @@ class TokenKind(Enum):
 class Token:
     surface: str
     kind: TokenKind
-    span: tuple[int, int]  # codepoint offsets into the normalized source
-
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[Token, ...]
-    span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -121,29 +113,7 @@ def tokenize(text: str) -> list[Token]:
     Every non-space, non-word character becomes a single-character symbol
     token.
     """
-    return [
-        Token(m.group(), token_kind(m.group()), m.span())
-        for m in _TOKEN.finditer(text)
-    ]
-
-
-def split_sentences(text: str) -> list[Sentence]:
-    """Split on danda, double danda, '?', '!' and '.'.
-
-    The terminator stays with the sentence it ends; trailing text without a
-    terminator forms a final sentence; empty segments are dropped.
-    """
-    sentences = []
-    start = 0
-    tokens: list[Token] = []
-    for token in tokenize(text):
-        tokens.append(token)
-        if token.surface in _TERMINATORS:
-            sentences.append(Sentence(tokens=tuple(tokens), span=(start, token.span[1])))
-            start, tokens = token.span[1], []
-    if tokens:
-        sentences.append(Sentence(tokens=tuple(tokens), span=(start, len(text))))
-    return sentences
+    return [Token(s, token_kind(s)) for s in scan_surfaces(text)]
 
 
 def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()) -> list[Token]:

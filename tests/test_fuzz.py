@@ -4,8 +4,7 @@ One input file at a time is replaced by arbitrary bytes; every other input of
 the command stays valid.  ``main`` must return 0, 1 or 2, and a nonzero return
 must leave no ``--out`` tree behind; the same holds for any list of ``ID=PATH``
 specs.  A replaced file that is not UTF-8 must exit 1, naming the file, the bad
-byte's line and its offset, whichever kind of input it is.  ``metadata.tsv``,
-which no subcommand reads, is fuzzed through ``load_metadata`` instead.
+byte's line and its offset, whichever kind of input it is.
 """
 
 import contextlib
@@ -18,7 +17,6 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stoplemma.cli import main
-from stoplemma.corpus import CorpusError, load_metadata
 
 VALID = {
     "doc": "राम घर गया। वह घर में है। abc 12 १२\n",
@@ -69,11 +67,6 @@ CONFIG = st.dictionaries(
               st.lists(st.text(max_size=5), max_size=2)),
 ).map(json.dumps)
 CONTENT = st.one_of(st.binary(max_size=200), (TEXT | CONFIG).map(lambda s: s.encode("utf-8")))
-METADATA = st.one_of(
-    st.binary(max_size=200),
-    TEXT.map(lambda s: s.encode("utf-8")),
-    TEXT.map(lambda s: ("file\ttitle\tauthor\tgender\tstate\tyear\n" + s).encode("utf-8")),
-)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -147,15 +140,3 @@ def test_any_id_path_spec_ends_in_an_exit_code(option, specs):
         assert rc in (0, 1, 2)
         if rc:
             assert not out.exists()
-
-
-@settings(max_examples=200, deadline=None)
-@given(content=METADATA)
-def test_load_metadata_returns_a_dict_or_raises_corpus_error(content):
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "metadata.tsv").write_bytes(content)
-        try:
-            metas = load_metadata(tmp)
-        except CorpusError:
-            return
-        assert isinstance(metas, dict)

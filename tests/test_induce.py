@@ -174,7 +174,3 @@ class TestReferenceList:
     def test_read_as_a_stop_word_list(self, tmp_path):
         path = write_list(tmp_path, "ref.txt", ["का  है", "# comment", "घर", "का है", " घर "])
         assert load_stopword_list(path).entries == ("का है", "घर")
-
-    def test_empty_reference_list_rejected(self, tmp_path):
-        with pytest.raises(InductionError, match="empty"):
-            load_stopword_list(write_list(tmp_path, "ref.txt", ["# comment"]))

@@ -9,14 +9,11 @@ from stoplemma.normalize import (
     PLAIN_WORD,
     _WORD_RUN,
     FilterPolicy,
-    Sentence,
-    Token,
     TokenKind,
     classify,
     filter_tokens,
     normalize_text,
     read_records,
-    split_sentences,
     token_kind,
     tokenize,
 )
@@ -75,11 +72,6 @@ class TestTokenize:
             TokenKind.SYMBOL,
             TokenKind.DEVANAGARI_WORD,
         ]
-
-    def test_spans_index_into_source(self):
-        text = "घर गया।"
-        for t in tokenize(text):
-            assert text[t.span[0]:t.span[1]] == t.surface
 
     @given(st.text(alphabet=DEVANAGARI_LETTERS + DEVANAGARI_MATRAS + ["्"],
                    min_size=1, max_size=30))
@@ -161,66 +153,6 @@ def test_plain_strings_are_nfc_devanagari_words(s):
     assert PLAIN_WORD.fullmatch(s)
     assert unicodedata.is_normalized("NFC", s)
     assert token_kind(s) is TokenKind.DEVANAGARI_WORD
-
-
-class TestSplitSentences:
-    def test_danda_split(self):
-        assert len(split_sentences("वह घर गया। फिर आया।")) == 2
-
-    def test_empty_input(self):
-        assert split_sentences("") == []
-
-    def test_trailing_text_without_terminator(self):
-        sents = split_sentences("क्या? हाँ")
-        assert len(sents) == 2
-        assert sents[0].span == (0, 5)
-        assert sents[1].tokens[-1].surface == "हाँ"
-
-    def test_terminator_attaches_to_its_sentence(self):
-        sents = split_sentences(normalize_text("एक। दो॥"))
-        assert [s.tokens[-1].surface for s in sents] == ["।", "॥"]
-
-    @given(st.text(alphabet=DEVANAGARI_LETTERS + [" ", "।", "?", "!", "."],
-                   max_size=120))
-    def test_spans_cover_the_text(self, raw):
-        text = normalize_text(raw)
-        sents = split_sentences(text)
-        covered = sum(s.span[1] - s.span[0] for s in sents)
-        dropped = len(text) - covered
-        # whatever is not in a sentence span is inter-sentence whitespace
-        assert dropped >= 0
-        in_spans = set()
-        for s in sents:
-            assert s.span[0] <= s.span[1]
-            for i in range(*s.span):
-                assert i not in in_spans  # non-overlapping
-                in_spans.add(i)
-        for i in range(len(text)):
-            if i not in in_spans:
-                assert text[i] == " "
-
-
-def previous_split_sentences(text):
-    """The per-segment rule that the one-pass ``split_sentences`` replaced."""
-    sentences = []
-    start = 0
-    for end in [m.end() for m in re.finditer(r"[।॥?!.]", text)] + [len(text)]:
-        segment = text[start:end]
-        if segment.strip():
-            tokens = tuple(Token(t.surface, t.kind, (t.span[0] + start, t.span[1] + start))
-                           for t in tokenize(segment))
-            sentences.append(Sentence(tokens=tokens, span=(start, end)))
-        start = end
-    return sentences
-
-
-@settings(max_examples=300)
-@given(st.text(alphabet=st.one_of(CLASSIFY_ALPHABET, st.sampled_from("।॥?!. \t\n\xa0\x1c ")),
-               max_size=40),
-       st.booleans())
-def test_split_sentences_matches_the_previous_rule(raw, nfc):
-    text = normalize_text(raw) if nfc else raw
-    assert split_sentences(text) == previous_split_sentences(text)
 
 
 class TestFilterTokens:

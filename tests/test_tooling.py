@@ -1,8 +1,20 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src" / "stoplemma"
+
+# Public names that need no caller in src/, each with the reason it stays.
+NO_SRC_CALLER = {
+    "normalize.tokenize": "criterion-6/7 reference path",
+    "normalize.filter_tokens": "criterion-6/7 reference path",
+    "normalize.normalize_text": "criterion-6/7 reference path",
+    "__init__.data_path": "bundled-data API",
+    "stats.point_biserial": "criterion-2 reference",
+    "lemma.oov_rate": "kept until ROADMAP item 6 gives it a caller or deletes it",
+}
 
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
@@ -32,3 +44,36 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def referenced_names(node):
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def test_every_public_name_has_a_src_caller():
+    # A module-level public function, class or constant that nothing in src/
+    # refers to, outside its own definition, is a dead path.
+    public, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = defined_names(node)
+            public |= {(path.stem, name) for name in own if not name.startswith("_")}
+            used |= referenced_names(node) - own
+    dead = {f"{module}.{name}" for module, name in public if name not in used}
+    assert dead == set(NO_SRC_CALLER)
