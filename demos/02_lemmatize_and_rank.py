@@ -9,7 +9,7 @@ with a codepoint tie-break, so repeated runs are always identical.
 
 from stoplemma import data_path
 from stoplemma.corpus import load_corpus
-from stoplemma.freq import count_lemmas, count_words, rank_items, top_k
+from stoplemma.freq import count_words, lemma_table, rank_items, top_k
 from stoplemma.lemma import load_lexicon, oov_rate
 
 corpus = load_corpus(data_path("demo_corpus"), id="demo")
@@ -19,7 +19,7 @@ lex = load_lexicon(data_path("demo_lexicon.tsv"))
 print(f"lexicon entries: {len(lex.entries)}")
 
 words = count_words(corpus)
-lemmas = count_lemmas(corpus, lex=lex)
+lemmas = lemma_table(words, lex)
 print(f"tokens: {words.total_tokens}, "
       f"unique words: {words.unique_count}, unique lemmas: {lemmas.unique_count}")
 print(f"out-of-lexicon rate: {oov_rate(words.counts, lex):.3f}")

@@ -13,7 +13,7 @@ The final list is A ∩ B, ordered by aggregate corpus count.
 
 from stoplemma import data_path
 from stoplemma.corpus import load_corpus
-from stoplemma.freq import count_lemmas, rank_items
+from stoplemma.freq import count_words, lemma_table, rank_items
 from stoplemma.induce import (
     aggregate_lemma_counts,
     build_final_list,
@@ -34,7 +34,7 @@ raw, deduped = dedup_across_lists(lists)
 print(f"stop word entries: {raw} raw -> {deduped} distinct")
 
 corpus = load_corpus(data_path("demo_corpus"), id="demo")
-table = count_lemmas(corpus, lex=lex)
+table = lemma_table(count_words(corpus), lex)
 
 set_a = build_set_a(lists, lex, k=20)
 set_b = build_set_b([rank_items(table.counts)], k=20)

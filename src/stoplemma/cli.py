@@ -169,7 +169,7 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     ranked = []
     for ident, path in corpora:
         source = corpus_mod.load_corpus(path, id=ident)
-        table = freq_mod.count_lemmas(source, policy, lex)
+        table = freq_mod.lemma_table(freq_mod.count_words(source, policy), lex)
         lemma_tables.append(table)
         ranked.append(freq_mod.rank_items(table.counts))
 
@@ -197,7 +197,7 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
         "short_sources": list(report.short_sources),
     }
     return inputs, {
-        "overlap.tsv": partial(stats_mod.write_overlap_tsv, report),
+        "overlap.tsv": partial(freq_mod.write_tsv, freq_mod.rank_items(report.counts)),
         "overlap_report.json": partial(write_json, summary),
     }
 
@@ -208,8 +208,8 @@ def cmd_posstats(args) -> tuple[list[str], dict]:
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
-    pos_lex = stats_mod.load_pos_lexicon(args.pos_lexicon)
-    report = stats_mod.pos_rank_analysis(lists, pos_lex, depth=args.depth, use_frequency=args.use_frequency)
+    tags = stats_mod.load_pos_lexicon(args.pos_lexicon)
+    report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
     if all(s.mean_r is None for s in report.summaries):
         raise ComputeError("correlation undefined for every (group, source) cell")
     verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),

@@ -10,8 +10,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusSource, Document
-from .lemma import EMPTY_LEXICON, LemmaLexicon
-from .normalize import PLAIN_WORD, FilterPolicy, read_records, scan_surfaces, token_kind, write_json
+from .lemma import LemmaLexicon
+from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, scan_surfaces, write_json
 
 # Large documents are split in slices so no split() list holds the whole
 # token stream; each slice ends at whitespace to keep tokens whole.
@@ -75,7 +75,7 @@ def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -
             for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
                 rest[surface] += n
     for surface, n in rest.items():
-        if policy.keeps(token_kind(surface)):
+        if policy.keeps(classify(surface)):
             counts[surface] += n
     return counts
 
@@ -90,15 +90,6 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
 def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy()) -> FrequencyTable:
     merged = merge_counts(count_document_words(d, policy) for d in corpus.documents)
     return FrequencyTable(item_kind="word", counts=dict(merged), source_id=corpus.id)
-
-
-def count_lemmas(
-    corpus: CorpusSource,
-    policy: FilterPolicy = FilterPolicy(),
-    lex: LemmaLexicon = EMPTY_LEXICON,
-) -> FrequencyTable:
-    words = count_words(corpus, policy)
-    return lemma_table(words, lex)
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import string
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -37,11 +36,8 @@ PLAIN_WORD = re.compile("[\u0900-\u093b\u093d-\u0950\u0955-\u0957\u0960-\u0963\u
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
 _WS_RUN = re.compile(r"\s+")
 
-# classify's character classes; Devanagari words are U+0900–U+097F, ZWNJ, ZWJ
-_ASCII_DIGITS = frozenset(string.digits)
-_DEVANAGARI_DIGITS = frozenset("०१२३४५६७८९")
-_LATIN_LETTERS = frozenset(string.ascii_letters)
-_DEVANAGARI = frozenset(map(chr, range(0x0900, 0x0980))) | {"\u200c", "\u200d"}
+_LATIN_LETTER = re.compile("[A-Za-z]")
+_ASCII_DIGIT = re.compile("[0-9]")
 
 
 class TokenKind(Enum):
@@ -83,22 +79,18 @@ def normalize_text(raw: str) -> str:
 
 
 def classify(surface: str) -> TokenKind:
-    chars = set(surface)
-    if chars and chars <= _ASCII_DIGITS:
-        return TokenKind.LATIN_NUMBER
-    if chars and chars <= _DEVANAGARI_DIGITS:
-        return TokenKind.DEVANAGARI_NUMBER
-    if chars & _LATIN_LETTERS:
+    """The kind of any string: a SYMBOL unless ``_WORD_RUN`` fullmatches it.
+
+    Else a LATIN_WORD if it holds a Latin letter, a LATIN_NUMBER if it holds an
+    ASCII digit, a DEVANAGARI_NUMBER if it is all digits, else a DEVANAGARI_WORD.
+    """
+    if not _WORD_RUN.fullmatch(surface):
+        return TokenKind.SYMBOL
+    if _LATIN_LETTER.search(surface):
         return TokenKind.LATIN_WORD
-    if chars <= _DEVANAGARI:
-        return TokenKind.DEVANAGARI_WORD
-    # digit runs mixing scripts classify with the Latin digits they carry
-    return TokenKind.LATIN_NUMBER if chars & _ASCII_DIGITS else TokenKind.SYMBOL
-
-
-def token_kind(surface: str) -> TokenKind:
-    """Kind of one token surface: word runs are classified, the rest are symbols."""
-    return classify(surface) if _WORD_RUN.fullmatch(surface) else TokenKind.SYMBOL
+    if _ASCII_DIGIT.search(surface):
+        return TokenKind.LATIN_NUMBER
+    return TokenKind.DEVANAGARI_NUMBER if surface.isdigit() else TokenKind.DEVANAGARI_WORD
 
 
 def scan_surfaces(text: str) -> list[str]:
@@ -113,7 +105,7 @@ def tokenize(text: str) -> list[Token]:
     Every non-space, non-word character becomes a single-character symbol
     token.
     """
-    return [Token(s, token_kind(s)) for s in scan_surfaces(text)]
+    return [Token(s, classify(s)) for s in scan_surfaces(text)]
 
 
 def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()) -> list[Token]:

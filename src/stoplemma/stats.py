@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .freq import RankedList, rank_items, top_k, write_tsv
+from .freq import RankedList, top_k
 from .normalize import read_pairs, write_json
 
 
@@ -32,32 +32,18 @@ class OverlapReport:
         return max(self.counts.values()) if self.counts else 0
 
 
-@dataclass(frozen=True)
-class PosLexicon:
-    tags: Mapping[str, str]
-
-    def tag_of(self, item: str) -> str:
-        return self.tags.get(item, "other")
-
-
-@dataclass(frozen=True)
-class TagGroup:
-    name: str
-    members: frozenset[str]
-
-
 # The seven default groups mirror the POS categories of the correlation table.
-DEFAULT_GROUPS = (
-    TagGroup("NN/NNP/NNPC", frozenset({"NN", "NNP", "NNPC"})),
-    TagGroup("PSP/PRP", frozenset({"PSP", "PRP"})),
-    TagGroup("SYM", frozenset({"SYM"})),
-    TagGroup("VM", frozenset({"VM"})),
-    TagGroup("QC/QF/QO", frozenset({"QC", "QF", "QO"})),
-    TagGroup("NEG", frozenset({"NEG"})),
-    TagGroup("CC", frozenset({"CC"})),
-)
+DEFAULT_GROUPS = {
+    "NN/NNP/NNPC": frozenset({"NN", "NNP", "NNPC"}),
+    "PSP/PRP": frozenset({"PSP", "PRP"}),
+    "SYM": frozenset({"SYM"}),
+    "VM": frozenset({"VM"}),
+    "QC/QF/QO": frozenset({"QC", "QF", "QO"}),
+    "NEG": frozenset({"NEG"}),
+    "CC": frozenset({"CC"}),
+}
 # the groups are disjoint, so a tag names at most one of them
-_GROUP_OF_TAG = {tag: g for g, group in enumerate(DEFAULT_GROUPS) for tag in group.members}
+_GROUP_OF_TAG = {tag: g for g, tags in enumerate(DEFAULT_GROUPS.values()) for tag in tags}
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,9 @@ class CorrelationReport:
     depth: int
 
 
-def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    return PosLexicon(tags=read_pairs(path))
+def load_pos_lexicon(path: str | Path) -> dict[str, str]:
+    """``item -> POS tag``; an item it lacks, or whose tag no group lists, belongs to no group."""
+    return read_pairs(path)
 
 
 def top_k_overlap(lists: Mapping[str, RankedList], k: int) -> OverlapReport:
@@ -177,17 +164,17 @@ def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], 
 
 def pos_rank_analysis(
     lists: Mapping[str, RankedList],
-    lex: PosLexicon,
+    tags: Mapping[str, str],
     depth: Optional[int] = None,
     use_frequency: bool = False,
 ) -> CorrelationReport:
     """Correlate POS-group membership with rank over each source's top entries.
 
     ``lists`` maps each source ID to its ranked list; a group's cells follow
-    the mapping's order.  Cells where r is undefined (a group absent or
-    omnipresent in a source) are flagged and excluded from that group's
-    descriptive statistics.  ``depth``, when given, must be at least 1; by
-    default every entry is used.
+    the mapping's order.  ``tags`` maps an item to its POS tag.  Cells where
+    r is undefined (a group absent or omnipresent in a source) are flagged
+    and excluded from that group's descriptive statistics.  ``depth``, when
+    given, must be at least 1; by default every entry is used.
 
     Each cell has the r and p of ``point_biserial`` over the source's 0/1
     group membership and its ranks (or, with ``use_frequency``, its counts).
@@ -201,7 +188,7 @@ def pos_rank_analysis(
     columns = []  # columns[s][g] is the cell of group g in source s
     for sid, ranked in lists.items():
         try:
-            columns.append(_source_cells(sid, ranked.entries[:depth], lex, use_frequency))
+            columns.append(_source_cells(sid, ranked.entries[:depth], tags, use_frequency))
         except OverflowError as exc:  # a count beyond what a float holds
             raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
     cells: list[CorrelationCell] = []
@@ -217,19 +204,19 @@ def pos_rank_analysis(
         else:
             mean_r = sd_r = max_r = min_r = mean_p = sd_p = None
         summaries.append(GroupSummary(
-            group=group.name, mean_r=mean_r, sd_r=sd_r, max_r=max_r, min_r=min_r,
+            group=group, mean_r=mean_r, sd_r=sd_r, max_r=max_r, min_r=min_r,
             mean_p=mean_p, sd_p=sd_p, defined_sources=len(rs),
             flagged_sources=tuple(c.source_id for c in row if c.error is not None),
         ))
     return CorrelationReport(cells=tuple(cells), summaries=tuple(summaries), depth=actual_depth)
 
 
-def _source_cells(sid: str, entries: Sequence[tuple[str, int]], lex: PosLexicon,
+def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[str, str],
                   use_frequency: bool) -> list[CorrelationCell]:
     """One source's cell for each of DEFAULT_GROUPS, in their order."""
     n = len(entries)
     if n < 3:
-        return [CorrelationCell(group.name, sid, None, None, 0, 0, error="fewer than 3 entries")
+        return [CorrelationCell(group, sid, None, None, 0, 0, error="fewer than 3 entries")
                 for group in DEFAULT_GROUPS]
     if use_frequency:
         ints = [count for _, count in entries]
@@ -241,7 +228,7 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], lex: PosLexicon,
     other = len(DEFAULT_GROUPS)  # the bucket of entries in no group
     sizes, sums = [0] * (other + 1), [0] * (other + 1)
     for (item, _), value in zip(entries, ints):
-        g = _GROUP_OF_TAG.get(lex.tag_of(item), other)
+        g = _GROUP_OF_TAG.get(tags.get(item), other)
         sizes[g] += 1
         sums[g] += value
     total = sum(sums)
@@ -254,9 +241,9 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], lex: PosLexicon,
             _non_members(n, n1)
             r, p = _r_and_p(n, n1, n0, sums[g] / n1, (total - sums[g]) / n0, var)
         except UndefinedCorrelationError as exc:
-            cells.append(CorrelationCell(group.name, sid, None, None, n1, n0, error=str(exc)))
+            cells.append(CorrelationCell(group, sid, None, None, n1, n0, error=str(exc)))
         else:
-            cells.append(CorrelationCell(group.name, sid, r, p, n1, n0))
+            cells.append(CorrelationCell(group, sid, r, p, n1, n0))
     return cells
 
 
@@ -266,11 +253,6 @@ def reject_pos_hypothesis(report: CorrelationReport, threshold: float = 0.5) -> 
         s.mean_r is None or abs(s.mean_r) <= threshold
         for s in report.summaries
     )
-
-
-def write_overlap_tsv(report: OverlapReport, path: str | Path) -> None:
-    """Word-cloud data: ``item<TAB>count`` ordered by count desc, codepoint ties."""
-    write_tsv(rank_items(report.counts), path)
 
 
 def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:

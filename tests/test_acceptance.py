@@ -22,7 +22,7 @@ import pytest
 from stoplemma import data_path
 from stoplemma.cli import main
 from stoplemma.corpus import CorpusSource, Document
-from stoplemma.freq import count_lemmas, count_words, merge_counts, rank_items, top_k
+from stoplemma.freq import count_words, lemma_table, merge_counts, rank_items, top_k
 from stoplemma.induce import (
     StopWordList,
     aggregate_lemma_counts,
@@ -94,7 +94,7 @@ def test_criterion_1_set_algebra_matches_brute_force():
             ]
             k = rng.randint(1, 30)
 
-            tables = [count_lemmas(c, lex=lex) for c in corpora]
+            tables = [lemma_table(count_words(c), lex) for c in corpora]
             got_a = build_set_a(stop_lists, lex, k=k)
             got_b = build_set_b([rank_items(t.counts) for t in tables], k=k)
             agg = aggregate_lemma_counts([t.counts for t in tables])
@@ -239,7 +239,7 @@ def test_criterion_7_counting_laws():
             words = count_words(corpus)
             merged = merge_counts(count_document_words(d) for d in corpus.documents)
             assert words.counts == dict(merged)
-            lemmas = count_lemmas(corpus, lex=lex)
+            lemmas = lemma_table(words, lex)
             assert lemmas.total_tokens == words.total_tokens
             assert lemmas.unique_count <= words.unique_count
 

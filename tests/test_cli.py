@@ -98,7 +98,7 @@ class TestFreqCommand:
 class TestInduceCommand:
     def test_matches_library_oracle(self, tmp_path, demo_args):
         from stoplemma.corpus import load_corpus
-        from stoplemma.freq import count_lemmas, rank_items
+        from stoplemma.freq import count_words, lemma_table, rank_items
         from stoplemma.induce import (
             aggregate_lemma_counts, build_final_list, build_set_a, build_set_b,
             load_stopword_list,
@@ -118,7 +118,7 @@ class TestInduceCommand:
             load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
             for i in (1, 2, 3)
         ]
-        table = count_lemmas(load_corpus(data_path("demo_corpus"), id="demo"), lex=lex)
+        table = lemma_table(count_words(load_corpus(data_path("demo_corpus"), id="demo")), lex)
         set_a = build_set_a(lists, lex, k=20)
         set_b = build_set_b([rank_items(table.counts)], k=20)
         expected = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))

@@ -10,7 +10,6 @@ from stoplemma import freq
 from stoplemma.corpus import CorpusSource, Document
 from stoplemma.freq import (
     count_document_words,
-    count_lemmas,
     count_words,
     lemma_table,
     merge_counts,
@@ -66,12 +65,13 @@ class TestCountWords:
 class TestCountLemmas:
     def test_collapse(self):
         lex = LemmaLexicon(entries={"गया": "जा", "जाना": "जा"})
-        table = count_lemmas(corpus_of("गया जाना"), lex=lex)
+        table = lemma_table(count_words(corpus_of("गया जाना")), lex)
         assert table.counts == {"जा": 2}
 
     def test_empty_lexicon_equals_word_counts(self):
         corpus = corpus_of("घर गया घर।")
-        assert count_lemmas(corpus).counts == count_words(corpus).counts
+        words = count_words(corpus)
+        assert lemma_table(words, EMPTY_LEXICON).counts == words.counts
 
     def test_conservation_on_random_inputs(self):
         rng = random.Random(23)
@@ -79,7 +79,7 @@ class TestCountLemmas:
             corpus = random_corpus(rng)
             lex = random_lexicon(rng)
             words = count_words(corpus)
-            lemmas = count_lemmas(corpus, lex=lex)
+            lemmas = lemma_table(words, lex)
             assert lemmas.total_tokens == words.total_tokens
             assert lemmas.unique_count <= words.unique_count
 

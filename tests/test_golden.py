@@ -7,6 +7,7 @@ when an output is meant to change; a refactor must leave every one intact.
 """
 
 import hashlib
+import itertools
 import shutil
 
 import pytest
@@ -59,3 +60,31 @@ def test_output_tree_matches_golden_hash(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*COMMANDS[name], "--out", name]) == 0
     assert tree_digest(tmp_path / name) == GOLDEN[name]
+
+
+# A document that the bundled corpus does not resemble: Latin words, ASCII,
+# Devanagari and mixed digit runs, a nukta letter in NFC and in NFD, ZWJ,
+# dandas and punctuation.  Each of the four kind flags changes its word table.
+MIXED_DOCUMENT = (
+    "राम ने घर में खाना खाया। Ram ate food at home.\n"
+    "2024 में १२ लोग आए; 12३ x१ a1 abc-def ₹10 (कुल) !\n"
+    "\u0958िला \u0915\u093cिला \u0929 \u0928\u093c क\u094d\u200dष ॥ ० 0\n"
+)
+KIND_FLAGS = ("--keep-symbols", "--keep-latin-words", "--keep-latin-numbers", "--drop-devanagari-digits")
+# SHA-256 over the 16 tree digests, flag combinations in itertools.product order
+MIXED_GOLDEN = "76515871c9d883bf5da3fce7237ec9ba5eccbb6816d3a4170eb2e09567e20cf5"
+
+
+def test_kind_filters_on_a_mixed_script_document(tmp_path, monkeypatch):
+    (tmp_path / "mixed").mkdir()
+    (tmp_path / "mixed" / "doc.txt").write_text(MIXED_DOCUMENT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    tables = set()
+    for n, chosen in enumerate(itertools.product((False, True), repeat=len(KIND_FLAGS))):
+        flags = [flag for flag, on in zip(KIND_FLAGS, chosen) if on]
+        assert main(["freq", "--corpus", "mixed=mixed", *flags, "--out", f"out{n}"]) == 0
+        h.update(tree_digest(tmp_path / f"out{n}").encode())
+        tables.add((tmp_path / f"out{n}" / "words_mixed.tsv").read_bytes())
+    assert len(tables) == 16
+    assert h.hexdigest() == MIXED_GOLDEN

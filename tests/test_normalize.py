@@ -14,7 +14,6 @@ from stoplemma.normalize import (
     filter_tokens,
     normalize_text,
     read_records,
-    token_kind,
     tokenize,
 )
 
@@ -90,7 +89,7 @@ class TestTokenize:
 
 
 def previous_classify(surface):
-    """The regex-and-loop rule that the character-class ``classify`` replaced."""
+    """The regex-and-loop rule for the kind of a word run: a reference for ``classify``."""
     if re.fullmatch(r"[0-9]+", surface):
         return TokenKind.LATIN_NUMBER
     if re.fullmatch(r"[०-९]+", surface):
@@ -116,7 +115,13 @@ CLASSIFY_ALPHABET = st.one_of(
 @settings(max_examples=300)
 @given(st.text(alphabet=CLASSIFY_ALPHABET, max_size=8))
 def test_classify_matches_the_previous_rule(surface):
-    assert classify(surface) is previous_classify(surface)
+    expected = previous_classify(surface) if _WORD_RUN.fullmatch(surface) else TokenKind.SYMBOL
+    assert classify(surface) is expected
+
+
+@pytest.mark.parametrize("surface", ["", "a-b", "घर।", "1.5", " "])
+def test_a_string_that_is_not_one_token_is_a_symbol(surface):
+    assert classify(surface) is TokenKind.SYMBOL
 
 
 # the plain Devanagari class that counting takes without NFC, scan or
@@ -141,7 +146,7 @@ class TestPlainWord:
     def test_every_code_point_is_one_kept_devanagari_word(self):
         for ch in PLAIN_CLASS:
             assert _WORD_RUN.fullmatch(ch), hex(ord(ch))
-            assert token_kind(ch) is TokenKind.DEVANAGARI_WORD, hex(ord(ch))
+            assert classify(ch) is TokenKind.DEVANAGARI_WORD, hex(ord(ch))
 
     @pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=4)))
     def test_every_policy_keeps_devanagari_words(self, flags):
@@ -152,7 +157,7 @@ class TestPlainWord:
 def test_plain_strings_are_nfc_devanagari_words(s):
     assert PLAIN_WORD.fullmatch(s)
     assert unicodedata.is_normalized("NFC", s)
-    assert token_kind(s) is TokenKind.DEVANAGARI_WORD
+    assert classify(s) is TokenKind.DEVANAGARI_WORD
 
 
 class TestFilterTokens:

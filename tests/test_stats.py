@@ -10,8 +10,6 @@ from stoplemma.stats import (
     DEFAULT_GROUPS,
     CorrelationCell,
     GroupSummary,
-    PosLexicon,
-    TagGroup,
     UndefinedCorrelationError,
     descriptive_stats,
     load_pos_lexicon,
@@ -153,10 +151,10 @@ class TestDescriptiveStats:
 
 class TestPosRankAnalysis:
     def make_lex(self):
-        return PosLexicon(tags={
+        return {
             "का": "PSP", "है": "VM", "वह": "PRP", "में": "PSP", "कर": "VM",
             "और": "CC", "नहीं": "NEG", "एक": "QC",
-        })
+        }
 
     def test_absent_group_flagged(self):
         lists = {"s": ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2})}
@@ -186,20 +184,18 @@ class TestPosRankAnalysis:
         assert defined
         values = [float(c) for _, c in ranked.entries]
         for cell in defined:
-            group = next(g for g in DEFAULT_GROUPS if g.name == cell.group)
-            membership = [1 if lex.tag_of(item) in group.members else 0
+            membership = [1 if lex.get(item) in DEFAULT_GROUPS[cell.group] else 0
                           for item, _ in ranked.entries]
             assert (cell.r, cell.p) == point_biserial(membership, values)
 
     def test_constant_membership_is_flagged_before_the_variance_is_checked(self):
         entries = tuple((f"w{i}", (4 - i) * 10**200) for i in range(4))  # squares overflow
-        report = pos_rank_analysis({"s": RankedList(entries)}, PosLexicon(tags={}), use_frequency=True)
+        report = pos_rank_analysis({"s": RankedList(entries)}, {}, use_frequency=True)
         assert {c.error for c in report.cells} == {"membership is constant"}
         with pytest.raises(ValueError, match="source s: count too large"):
-            pos_rank_analysis({"s": RankedList(entries)}, PosLexicon(tags={"w0": "VM"}),
-                              use_frequency=True)
+            pos_rank_analysis({"s": RankedList(entries)}, {"w0": "VM"}, use_frequency=True)
         equal = RankedList(tuple((f"w{i}", 5) for i in range(4)))
-        report = pos_rank_analysis({"s": equal}, PosLexicon(tags={"w0": "VM"}), use_frequency=True)
+        report = pos_rank_analysis({"s": equal}, {"w0": "VM"}, use_frequency=True)
         assert {c.group: c.error for c in report.cells if c.group in ("VM", "CC")} == {
             "VM": "counts have zero variance", "CC": "membership is constant"}
 
@@ -232,43 +228,41 @@ class TestPosRankAnalysis:
 def test_load_pos_lexicon(tmp_path):
     path = tmp_path / "pos.tsv"
     path.write_text("का\tPSP\n# c\nहै\tVM\n", encoding="utf-8")
-    lex = load_pos_lexicon(path)
-    assert lex.tag_of("का") == "PSP"
-    assert lex.tag_of("घर") == "other"
+    assert load_pos_lexicon(path) == {"का": "PSP", "है": "VM"}
 
 
 def test_default_groups_cover_the_expected_tags():
-    names = [g.name for g in DEFAULT_GROUPS]
-    assert names == ["NN/NNP/NNPC", "PSP/PRP", "SYM", "VM", "QC/QF/QO", "NEG", "CC"]
+    assert list(DEFAULT_GROUPS) == ["NN/NNP/NNPC", "PSP/PRP", "SYM", "VM", "QC/QF/QO", "NEG", "CC"]
 
 
 def test_default_groups_are_disjoint():
     # pos_rank_analysis tags each entry with at most one group
-    for i, a in enumerate(DEFAULT_GROUPS):
-        for b in DEFAULT_GROUPS[i + 1:]:
-            assert not a.members & b.members, (a.name, b.name)
+    names = list(DEFAULT_GROUPS)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert not DEFAULT_GROUPS[a] & DEFAULT_GROUPS[b], (a, b)
 
 
 def reference_analysis(lists, lex, depth, use_frequency=False):
     """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts."""
     cells, summaries = [], []
-    for group in DEFAULT_GROUPS:
+    for group, members in DEFAULT_GROUPS.items():
         row = []
         for sid, ranked in lists.items():
             entries = ranked.entries[:depth]
-            membership = [1 if lex.tag_of(item) in group.members else 0 for item, _ in entries]
+            membership = [1 if lex.get(item) in members else 0 for item, _ in entries]
             n1, n0 = sum(membership), len(entries) - sum(membership)
             if len(entries) < 3:
-                row.append(CorrelationCell(group.name, sid, None, None, 0, 0, "fewer than 3 entries"))
+                row.append(CorrelationCell(group, sid, None, None, 0, 0, "fewer than 3 entries"))
                 continue
             values = [float(count) if use_frequency else float(rank)
                       for rank, (_, count) in enumerate(entries, start=1)]
             try:
                 r, p = point_biserial(membership, values)
             except UndefinedCorrelationError as exc:
-                row.append(CorrelationCell(group.name, sid, None, None, n1, n0, str(exc)))
+                row.append(CorrelationCell(group, sid, None, None, n1, n0, str(exc)))
                 continue
-            row.append(CorrelationCell(group.name, sid, r, p, n1, n0))
+            row.append(CorrelationCell(group, sid, r, p, n1, n0))
         cells += row
         defined = [c for c in row if c.error is None]
         mean_r = sd_r = max_r = min_r = mean_p = sd_p = None
@@ -276,13 +270,13 @@ def reference_analysis(lists, lex, depth, use_frequency=False):
             mean_r, sd_r, max_r, min_r = descriptive_stats([c.r for c in defined])
             mean_p, sd_p, _, _ = descriptive_stats([c.p for c in defined])
         flagged = tuple(c.source_id for c in row if c.error is not None)
-        summaries.append(GroupSummary(group.name, mean_r, sd_r, max_r, min_r, mean_p, sd_p,
+        summaries.append(GroupSummary(group, mean_r, sd_r, max_r, min_r, mean_p, sd_p,
                                       len(defined), flagged))
     return cells, summaries
 
 
 _ITEMS = [f"w{i}" for i in range(100)]
-_TAGS = sorted({tag for group in DEFAULT_GROUPS for tag in group.members}) + ["JJ", "RB", "other"]
+_TAGS = sorted({tag for members in DEFAULT_GROUPS.values() for tag in members}) + ["JJ", "RB", "other"]
 # at most 80 entries a list, so the counts of one list total less than 2**53
 _COUNT = st.integers(0, 3) | st.integers(0, 2**53 // 80)
 
@@ -298,7 +292,7 @@ _COUNT = st.integers(0, 3) | st.integers(0, 2**53 // 80)
     use_frequency=st.booleans(),
 )
 def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, use_frequency):
-    lex = PosLexicon(tags={item: tag for item, tag in zip(_ITEMS, tags) if tag})
+    lex = {item: tag for item, tag in zip(_ITEMS, tags) if tag}
     # counts in any order: pos_rank_analysis takes a list's order as given
     lists = {f"s{i}": RankedList(tuple(zip(order, counts))) for i, order in enumerate(orders)}
     report = pos_rank_analysis(lists, lex, depth=depth, use_frequency=use_frequency)
@@ -313,15 +307,14 @@ def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
     # point_biserial's in-order float sums may differ from them in the last bits
     counts = [2**62 // (i + 1) + 3 * i for i in range(60)]
     order = [f"w{i}" for i in range(60)]
-    lex = PosLexicon(tags={f"w{i}": "PSP" if i % 3 == 0 else "VM" for i in range(0, 60, 2)})
+    lex = {f"w{i}": "PSP" if i % 3 == 0 else "VM" for i in range(0, 60, 2)}
     report = pos_rank_analysis({"s": RankedList(tuple(zip(order, counts)))}, lex, use_frequency=True)
     defined = [c for c in report.cells if c.error is None]
     assert [c.group for c in defined] == ["PSP/PRP", "VM"]
     values = [float(c) for c in counts]
     for cell in defined:
-        group = next(g for g in DEFAULT_GROUPS if g.name == cell.group)
-        r, p = point_biserial([1 if lex.tag_of(item) in group.members else 0 for item in order],
-                              values)
+        r, p = point_biserial([1 if lex.get(item) in DEFAULT_GROUPS[cell.group] else 0
+                               for item in order], values)
         assert cell.r == pytest.approx(r, rel=1e-12)
         assert cell.p == pytest.approx(p, rel=1e-12)
 
