@@ -10,7 +10,7 @@ with a codepoint tie-break, so repeated runs are always identical.
 from stoplemma import data_path
 from stoplemma.corpus import load_corpus
 from stoplemma.freq import count_words, lemma_table, rank_items, top_k
-from stoplemma.lemma import load_lexicon, oov_rate
+from stoplemma.lemma import load_lexicon
 
 corpus = load_corpus(data_path("demo_corpus"), id="demo")
 print(f"documents: {len(corpus.documents)}")
@@ -22,7 +22,6 @@ words = count_words(corpus)
 lemmas = lemma_table(words, lex)
 print(f"tokens: {words.total_tokens}, "
       f"unique words: {words.unique_count}, unique lemmas: {lemmas.unique_count}")
-print(f"out-of-lexicon rate: {oov_rate(words.counts, lex):.3f}")
 
 # Lemmatization collapses inflected forms, so the lemma table is never
 # larger than the word table and its head is more stable.

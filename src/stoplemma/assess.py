@@ -17,10 +17,6 @@ from .normalize import read_records, write_json
 UNTRANSLATABLE_MARK = "!"
 
 
-class MappingError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TranslationMapping:
     pairs: dict[str, tuple[str, ...]]  # external word -> Hindi surface forms
@@ -50,19 +46,19 @@ def load_mapping(path: str | Path) -> TranslationMapping:
     """TSV: ``external<TAB>hindi1[,hindi2,...]`` or ``external<TAB>!``."""
     pairs: dict[str, tuple[str, ...]] = {}
     untranslatable: set[str] = set()
-    for lineno, (external, targets) in read_records(path, 2, MappingError):
+    for lineno, (external, targets) in read_records(path, 2):
         if targets == UNTRANSLATABLE_MARK:
             if external in pairs:
-                raise MappingError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
+                raise ValueError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
             untranslatable.add(external)
             continue
         forms = tuple(t.strip() for t in targets.split(",") if t.strip())
         if not forms:
-            raise MappingError(f"{path}:{lineno}: no targets for {external!r}")
+            raise ValueError(f"{path}:{lineno}: no targets for {external!r}")
         if external in untranslatable:
-            raise MappingError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
+            raise ValueError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
         if pairs.setdefault(external, forms) != forms:
-            raise MappingError(f"{path}:{lineno}: conflicting targets for {external!r}")
+            raise ValueError(f"{path}:{lineno}: conflicting targets for {external!r}")
     return TranslationMapping(pairs=pairs, untranslatable=frozenset(untranslatable))
 
 

@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_COMPUTE_ERROR = 2
 
-# every loader's error class is a ValueError; OSError: paths that cannot be read or written
+# ValueError: invalid input, naming PATH:LINE where there is one; OSError: paths that cannot be read or written
 _INPUT_ERRORS = (OSError, ValueError)
 
 # an option's kind: a switch, a repeatable ID=PATH, or the converter its text goes through
@@ -43,19 +43,15 @@ IDS = "ID=PATH"
 REQUIRED = object()  # the default of an option that a flag or the config file must give
 
 
-class InputSpecError(ValueError):
-    pass
-
-
 class ComputeError(Exception):
     """Valid inputs whose result is undefined."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors (exit 1), not by exiting 2."""
+    """Raises a usage error as a ValueError, an input error (exit 1), instead of exiting 2."""
 
     def error(self, message):
-        raise InputSpecError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _path(text: str) -> str:
@@ -82,11 +78,11 @@ def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
     for spec in specs:
         ident, _, path = spec.partition("=")
         if not ident or not path:
-            raise InputSpecError(f"{label} must look like ID=PATH, got {spec!r}")
+            raise ValueError(f"{label} must look like ID=PATH, got {spec!r}")
         if ident in (".", "..") or "/" in ident or "\0" in ident:
-            raise InputSpecError(f"{label} ID must be a plain file name, got {ident!r}")
+            raise ValueError(f"{label} ID must be a plain file name, got {ident!r}")
         if ident in pairs:
-            raise InputSpecError(f"{label} ID {ident!r} is given more than once")
+            raise ValueError(f"{label} ID {ident!r} is given more than once")
         pairs[ident] = path
     return list(pairs.items())
 
@@ -160,7 +156,7 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     corpora = _id_paths(args.corpus, "--corpus")
     inputs = _existing(*(p for _, p in stoplists + corpora), args.lexicon)
     if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in corpora):
-        raise InputSpecError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
+        raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
@@ -204,7 +200,7 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
 
 def cmd_posstats(args) -> tuple[list[str], dict]:
     if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
-        raise InputSpecError(f"--threshold must be a finite number, got {args.threshold!r}")
+        raise ValueError(f"--threshold must be a finite number, got {args.threshold!r}")
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
@@ -319,7 +315,7 @@ def _config_value(flag: str, kind, key: str, value):
             return kind(str(value))
         except (ValueError, argparse.ArgumentTypeError):
             pass
-    raise InputSpecError(f"config key {key!r}: invalid value {value!r} for {flag}")
+    raise ValueError(f"config key {key!r}: invalid value {value!r} for {flag}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -340,13 +336,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     options = {flag[2:].replace("-", "_"): (flag, kind, default) for flag, kind, default, _ in COMMANDS[args.command][2]}
     config = {}
     if args.config:
-        text = read_text(args.config, InputSpecError)
+        text = read_text(args.config)
         try:
             config = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # bad JSON, a repeated key, deep nesting
-            raise InputSpecError(f"{args.config}: {exc}") from None
+            raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):
-            raise InputSpecError(f"{args.config}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
     # every config value is checked, also one that a flag overrides; a key may serve another subcommand
     known = {flag[2:].replace("-", "_") for _, _, opts in COMMANDS.values() for flag, *_ in opts}
     from_config = {}
@@ -356,7 +352,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             flag, kind, _ = options[dest]
             from_config[dest] = _config_value(flag, kind, key, value)
         elif dest not in known:
-            raise InputSpecError(f"{args.config}: config key {key!r} is not an option of any subcommand")
+            raise ValueError(f"{args.config}: config key {key!r} is not an option of any subcommand")
     values = {"command": args.command}
     missing = []
     for dest, (flag, _, default) in options.items():
@@ -365,9 +361,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             value = from_config.get(dest, default)
         if value is REQUIRED or value == []:
             missing.append(flag)
+        # provenance.json is UTF-8, so no value may hold a lone surrogate, as a name that is not UTF-8 does
+        for text in value if isinstance(value, list) else [value]:
+            if isinstance(text, str) and text.encode(errors="ignore").decode() != text:
+                raise ValueError(f"{flag} value {text!r} is not UTF-8 text")
         values[dest] = value
     if missing:
-        raise InputSpecError(f"missing required option(s): {', '.join(missing)} (flag or config file)")
+        raise ValueError(f"missing required option(s): {', '.join(missing)} (flag or config file)")
     return argparse.Namespace(**values)
 
 

@@ -8,10 +8,6 @@ from pathlib import Path
 from .normalize import read_text
 
 
-class CorpusError(ValueError):
-    """Unloadable corpus: missing files or bad encoding."""
-
-
 @dataclass(frozen=True)
 class Document:
     path: str
@@ -25,7 +21,7 @@ class CorpusSource:
 
     def __post_init__(self):
         if not self.id:
-            raise CorpusError("corpus id must be non-empty")
+            raise ValueError("corpus id must be non-empty")
 
 
 def document_paths(root: str | Path) -> list[Path]:
@@ -37,14 +33,14 @@ def load_corpus(root: str | Path, id: str) -> CorpusSource:
     """Load ``document_paths(root)`` in that order; no other file under ``root`` is read."""
     root = Path(root)
     if not root.exists():
-        raise CorpusError(f"corpus directory not found: {root}")
+        raise ValueError(f"corpus directory not found: {root}")
     if not root.is_dir():
-        raise CorpusError(f"corpus path is not a directory: {root}")
+        raise ValueError(f"corpus path is not a directory: {root}")
     paths = document_paths(root)
     if not paths:
-        raise CorpusError(f"no .txt files under {root}")
+        raise ValueError(f"no .txt files under {root}")
     documents = tuple(
-        Document(path=str(p.relative_to(root)), raw_text=read_text(p, CorpusError))
+        Document(path=str(p.relative_to(root)), raw_text=read_text(p))
         for p in paths
     )
     return CorpusSource(id=id, documents=documents)

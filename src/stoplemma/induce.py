@@ -13,10 +13,6 @@ from .normalize import read_records
 DEFAULT_K = 100
 
 
-class InductionError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class StopWordList:
     entries: tuple[str, ...]  # published rank order, deduplicated
@@ -34,10 +30,10 @@ class InductionReport:
 
 def load_stopword_list(path: str | Path) -> StopWordList:
     """One entry per line, ``#`` comments, in-file duplicates dropped."""
-    records = list(read_records(path, 1, InductionError))
+    records = list(read_records(path, 1))
     entries = dict.fromkeys(" ".join(entry.split()) for _, (entry,) in records)
     if not entries:
-        raise InductionError(f"{path}: stop word list is empty")
+        raise ValueError(f"{path}: stop word list is empty")
     return StopWordList(entries=tuple(entries), duplicates_removed=len(records) - len(entries))
 
 
@@ -50,9 +46,9 @@ def dedup_across_lists(lists: Sequence[StopWordList]) -> tuple[int, int]:
 def build_set_a(lists: Sequence[StopWordList], lex: LemmaLexicon, k: int = DEFAULT_K) -> set[str]:
     """Union of lemmatized top-k prefixes of the published stop word lists."""
     if not lists:
-        raise InductionError("need at least one stop word list")
+        raise ValueError("need at least one stop word list")
     if k < 1:
-        raise InductionError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     result: set[str] = set()
     for sl in lists:
         result |= gen_lemma(sl.entries[:k], lex)
@@ -62,7 +58,7 @@ def build_set_a(lists: Sequence[StopWordList], lex: LemmaLexicon, k: int = DEFAU
 def build_set_b(ranked_lemma_lists: Sequence[RankedList], k: int = DEFAULT_K) -> set[str]:
     """Union of each corpus's top-k most frequent lemmas."""
     if not ranked_lemma_lists:
-        raise InductionError("need at least one ranked lemma list")
+        raise ValueError("need at least one ranked lemma list")
     result: set[str] = set()
     for ranked in ranked_lemma_lists:
         result.update(top_k(ranked, k))
@@ -78,7 +74,7 @@ def build_final_list(
     common = set_a & set_b
     missing = sorted(l for l in common if l not in aggregate_counts)
     if missing:
-        raise InductionError(f"no aggregate count for lemmas: {missing}")
+        raise ValueError(f"no aggregate count for lemmas: {missing}")
     return rank_items({l: aggregate_counts[l] for l in common})
 
 

@@ -14,10 +14,6 @@ from typing import Iterable, Mapping
 from .normalize import read_pairs
 
 
-class LexiconError(ValueError):
-    """Malformed or internally inconsistent lexicon file."""
-
-
 @dataclass(frozen=True)
 class LemmaLexicon:
     entries: Mapping[str, str]
@@ -35,7 +31,7 @@ EMPTY_LEXICON = LemmaLexicon(entries={})
 
 def load_lexicon(path: str | Path) -> LemmaLexicon:
     """Parse a UTF-8 TSV of ``surface<TAB>lemma`` records with ``read_pairs``."""
-    return LemmaLexicon(entries=read_pairs(path, LexiconError))
+    return LemmaLexicon(entries=read_pairs(path))
 
 
 def lemmatize_phrase(phrase: str, lex: LemmaLexicon) -> str:
@@ -49,12 +45,3 @@ def lemmatize_phrase(phrase: str, lex: LemmaLexicon) -> str:
 def gen_lemma(words: Iterable[str], lex: LemmaLexicon) -> set[str]:
     """Image of a word set under lemmatization; duplicates collapse."""
     return {lemmatize_phrase(w, lex) for w in words}
-
-
-def oov_rate(words: Iterable[str], lex: LemmaLexicon) -> float:
-    """Fraction of distinct words falling back to identity (out of lexicon)."""
-    words = set(words)
-    if not words:
-        return 0.0
-    missing = sum(1 for w in words if w not in lex.entries)
-    return missing / len(words)

@@ -117,43 +117,41 @@ def split_lines(text: str) -> list[str]:
     return io.StringIO(text, newline=None).read().split("\n")
 
 
-def read_text(path: str | Path, error: type[Exception] = ValueError) -> str:
-    """A UTF-8 file's text less a leading BOM; ``error`` names a bad byte's line and file offset."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text less a leading BOM; a ``ValueError`` names a bad byte's line and file offset."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         lineno = len(split_lines(data[:exc.start].decode("utf-8")))
-        raise error(f"{path}:{lineno}: invalid UTF-8 at byte offset {exc.start}") from None
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte offset {exc.start}") from None
 
 
-def read_records(
-    path: str | Path, fields: int, error: type[Exception] = ValueError
-) -> Iterator[tuple[int, list[str]]]:
+def read_records(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]]]:
     """``(lineno, fields)`` for each tab-separated record of a file ``read_text`` decodes whole.
 
     Lines are NFC-normalized and stripped.  Blank lines and ``#`` lines
     without a tab are skipped; every other line must hold exactly ``fields``
-    non-empty fields, else ``error`` names ``path:lineno``.
+    non-empty fields, else a ``ValueError`` names ``path:lineno``.
     """
-    for lineno, line in enumerate(split_lines(read_text(path, error)), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         line = unicodedata.normalize("NFC", line.strip())
         if not line or (line.startswith("#") and "\t" not in line):
             continue
         parts = line.split("\t")
         if len(parts) != fields or not all(parts):
-            raise error(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
-                        f"field(s), got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected {fields} non-empty tab-separated "
+                             f"field(s), got {line!r}")
         yield lineno, parts
 
 
-def read_pairs(path: str | Path, error: type[Exception] = ValueError) -> dict[str, str]:
+def read_pairs(path: str | Path) -> dict[str, str]:
     """``key -> value`` of two-field records; a key given a second, different value is an error."""
     pairs: dict[str, str] = {}
-    for lineno, (key, value) in read_records(path, 2, error):
+    for lineno, (key, value) in read_records(path, 2):
         if pairs.setdefault(key, value) != value:
-            raise error(f"{path}:{lineno}: conflicting value for {key!r}: "
-                        f"{pairs[key]!r} vs {value!r}")
+            raise ValueError(f"{path}:{lineno}: conflicting value for {key!r}: "
+                             f"{pairs[key]!r} vs {value!r}")
     return pairs
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from stoplemma.assess import (
-    MappingError,
     TranslationMapping,
     assess_coverage,
     load_mapping,
@@ -31,15 +30,15 @@ class TestLoadMapping:
         assert mapping.pairs["the"] == ("वह", "यह")
 
     def test_conflicting_duplicate(self, tmp_path):
-        with pytest.raises(MappingError, match="conflicting"):
+        with pytest.raises(ValueError, match="conflicting"):
             load_mapping(write_mapping(tmp_path, "a\tवह\na\tयह\n"))
 
     def test_mapped_and_untranslatable_conflict(self, tmp_path):
-        with pytest.raises(MappingError, match="both"):
+        with pytest.raises(ValueError, match="both"):
             load_mapping(write_mapping(tmp_path, "a\tवह\na\t!\n"))
 
     def test_malformed_line(self, tmp_path):
-        with pytest.raises(MappingError):
+        with pytest.raises(ValueError):
             load_mapping(write_mapping(tmp_path, "notab\n"))
 
 

@@ -665,6 +665,34 @@ def test_corpus_hash_takes_a_document_name_that_is_not_utf8_as_its_bytes(tmp_pat
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_option_value_that_is_not_utf8_exits_1_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                                                   demo_args, source):
+    # an ID holding the lone surrogate that the byte 0xff on a command line, or the
+    # escape "\udcff" in a config, decodes to; provenance.json could not hold it
+    spec = "\udcff" + demo_args["corpus"]
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["freq", "--corpus", spec, "--out", out]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"corpus": [spec]}), encoding="utf-8")
+        argv = ["--config", tmp_path / "cfg.json", "freq", "--out", out]
+    monkeypatch.setattr(corpus_mod, "load_corpus", lambda *a, **kw: pytest.fail("a corpus was read"))
+    assert run(argv) == 1
+    assert f"--corpus value {spec!r} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_name_that_is_not_utf8_is_read(tmp_path, demo_args):
+    config = tmp_path / "\udcff.json"  # the name b"\xff.json"; provenance.json does not record it
+    try:
+        config.write_text(json.dumps({"corpus": [demo_args["corpus"]]}), encoding="utf-8")
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    assert run(["--config", config, "freq", "--out", tmp_path / "out"]) == 0
+    assert (tmp_path / "out" / "words_demo.tsv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("flag", ["--k-a", "--k-b"])
 def test_induce_count_below_one_exits_1_naming_the_flag(tmp_path, monkeypatch, capsys, demo_args,
                                                         flag, source):

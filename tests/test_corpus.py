@@ -1,6 +1,6 @@
 import pytest
 
-from stoplemma.corpus import CorpusError, load_corpus
+from stoplemma.corpus import load_corpus
 
 
 def make_corpus(tmp_path, files):
@@ -21,20 +21,20 @@ class TestLoadCorpus:
                            ("bom", b"\xef\xbb\xbf" + "अ".encode() + b"\xff")]:
             (tmp_path / name).mkdir()
             (tmp_path / name / "a.txt").write_bytes(data)
-            with pytest.raises(CorpusError, match=r"a\.txt:1: invalid UTF-8 at byte offset 6$"):
+            with pytest.raises(ValueError, match=r"a\.txt:1: invalid UTF-8 at byte offset 6$"):
                 load_corpus(tmp_path / name, id="t")
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(CorpusError, match="not found"):
+        with pytest.raises(ValueError, match="not found"):
             load_corpus(tmp_path / "nope", id="t")
 
     def test_path_naming_a_file(self, tmp_path):
         make_corpus(tmp_path, {"a.txt": "क"})
-        with pytest.raises(CorpusError, match=r"corpus path is not a directory: .*a\.txt$"):
+        with pytest.raises(ValueError, match=r"corpus path is not a directory: .*a\.txt$"):
             load_corpus(tmp_path / "a.txt", id="t")
 
     def test_zero_documents(self, tmp_path):
-        with pytest.raises(CorpusError, match="no .txt files"):
+        with pytest.raises(ValueError, match="no .txt files"):
             load_corpus(tmp_path, id="t")
 
     def test_bom_stripped(self, tmp_path):

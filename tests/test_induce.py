@@ -5,7 +5,6 @@ import pytest
 from stoplemma import data_path
 from stoplemma.freq import RankedList, rank_items
 from stoplemma.induce import (
-    InductionError,
     StopWordList,
     aggregate_lemma_counts,
     build_final_list,
@@ -36,7 +35,7 @@ class TestLoadStopwordList:
         assert sl.duplicates_removed == 1
 
     def test_comment_only_file_is_empty_error(self, tmp_path):
-        with pytest.raises(InductionError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             load_stopword_list(write_list(tmp_path, "l.txt", ["# comment"]))
 
     def test_three_list_cross_dedup(self, tmp_path):
@@ -118,7 +117,7 @@ class TestBuildFinalList:
         assert len(final) == 0
 
     def test_missing_count_is_error(self):
-        with pytest.raises(InductionError, match="aggregate count"):
+        with pytest.raises(ValueError, match="aggregate count"):
             build_final_list({"y"}, {"y"}, {})
 
     def test_order_and_tie_break(self):

@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 from stoplemma.lemma import (
     EMPTY_LEXICON,
     LemmaLexicon,
-    LexiconError,
     gen_lemma,
     lemmatize_phrase,
     load_lexicon,
-    oov_rate,
 )
 
 
@@ -29,7 +27,7 @@ class TestLoadLexicon:
         assert lex.entry_count == 1
 
     def test_conflicting_duplicate_raises(self, tmp_path):
-        with pytest.raises(LexiconError, match=":2:"):
+        with pytest.raises(ValueError, match=":2:"):
             load_lexicon(write_lexicon(tmp_path, "गया\tजा\nगया\tगा\n"))
 
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -37,7 +35,7 @@ class TestLoadLexicon:
         assert lex.entry_count == 1
 
     def test_malformed_line_reports_number(self, tmp_path):
-        with pytest.raises(LexiconError, match=":3:"):
+        with pytest.raises(ValueError, match=":3:"):
             load_lexicon(write_lexicon(tmp_path, "# c\nगया\tजा\nnotab\n"))
 
     def test_entries_nfc_normalized_on_load(self, tmp_path):
@@ -91,9 +89,3 @@ class TestGenLemma:
         lex = LemmaLexicon(entries={"गया": "जा", "जा": "जा"})
         once = gen_lemma({"गया", "जा", "घर"}, lex)
         assert gen_lemma(once, lex) == once
-
-
-def test_oov_rate():
-    lex = LemmaLexicon(entries={"गया": "जा"})
-    assert oov_rate(["गया", "घर"], lex) == 0.5
-    assert oov_rate([], lex) == 0.0

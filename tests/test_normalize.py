@@ -5,6 +5,11 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stoplemma.assess import load_mapping
+from stoplemma.corpus import load_corpus
+from stoplemma.freq import read_ranked_tsv
+from stoplemma.induce import load_stopword_list
+from stoplemma.lemma import load_lexicon
 from stoplemma.normalize import (
     PLAIN_WORD,
     _WORD_RUN,
@@ -14,8 +19,10 @@ from stoplemma.normalize import (
     filter_tokens,
     normalize_text,
     read_records,
+    read_text,
     tokenize,
 )
+from stoplemma.stats import load_pos_lexicon
 
 DEVANAGARI_LETTERS = [chr(c) for c in range(0x0905, 0x0939 + 1)]
 DEVANAGARI_MATRAS = [chr(c) for c in range(0x093E, 0x094C + 1)]
@@ -185,10 +192,6 @@ class TestFilterTokens:
             assert not LATIN_ALNUM.search(token.surface)
 
 
-class RecordError(ValueError):
-    pass
-
-
 class TestReadRecords:
     def test_skips_blank_and_tab_free_comment_lines(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -204,15 +207,15 @@ class TestReadRecords:
     def test_malformed_line_raises_callers_error_with_path_and_line(self, tmp_path, line):
         path = tmp_path / "r.tsv"
         path.write_text("ok\t1\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(RecordError, match=re.escape(f"{path}:2:")):
-            list(read_records(path, 2, RecordError))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+            list(read_records(path, 2))
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_invalid_utf8_raises_callers_error_with_path_and_line(self, tmp_path, newline):
         path = tmp_path / "r.tsv"
         path.write_bytes(newline.join([b"# c", "का\t1".encode(), b"\xff\t2", b""]))
-        with pytest.raises(RecordError, match=re.escape(f"{path}:3: invalid UTF-8")):
-            list(read_records(path, 2, RecordError))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: invalid UTF-8")):
+            list(read_records(path, 2))
 
     @pytest.mark.parametrize("padding", [10, 20000])
     def test_bad_utf8_is_reported_before_any_record_whatever_the_file_size(self, tmp_path, padding):
@@ -221,5 +224,25 @@ class TestReadRecords:
         path = tmp_path / "r.tsv"
         path.write_bytes(head.encode() + b"\xff\t3\n")
         message = f"{path}:{padding + 3}: invalid UTF-8 at byte offset {len(head.encode())}"
-        with pytest.raises(RecordError, match=re.escape(message) + "$"):
-            list(read_records(path, 2, RecordError))
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            list(read_records(path, 2))
+
+
+LOADERS = {
+    "load_corpus": lambda path: load_corpus(path.parent, id="c"),
+    "load_lexicon": load_lexicon,
+    "load_stopword_list": load_stopword_list,
+    "load_mapping": load_mapping,
+    "load_pos_lexicon": load_pos_lexicon,
+    "read_ranked_tsv": read_ranked_tsv,
+    "read_text": read_text,
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_every_loader_raises_a_plain_value_error_for_invalid_utf8(tmp_path, loader):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"# comment\n\xff\t1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid UTF-8 at byte offset 10") + "$") as info:
+        LOADERS[loader](path)
+    assert type(info.value) is ValueError

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,6 @@ NO_SRC_CALLER = {
     "normalize.normalize_text": "criterion-6/7 reference path",
     "__init__.data_path": "bundled-data API",
     "stats.point_biserial": "criterion-2 reference",
-    "lemma.oov_rate": "kept until ROADMAP item 6 gives it a caller or deletes it",
 }
 
 FAILING_PROPERTY = """
@@ -77,3 +77,28 @@ def test_every_public_name_has_a_src_caller():
             used |= referenced_names(node) - own
     dead = {f"{module}.{name}" for module, name in public if name not in used}
     assert dead == set(NO_SRC_CALLER)
+
+
+def test_every_error_class_is_caught_by_name():
+    # An exception class earns its place only where src/ tells it apart: in
+    # an except clause or an isinstance check.  Any other invalid input is a
+    # plain ValueError.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    defined = set()  # the src/ classes that derive from an exception, found base first
+    new = True
+    while new:
+        new = {c.name for c in classes if any(referenced_names(b) & errors for b in c.bases)} - defined
+        defined |= new
+        errors |= new
+    caught = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ExceptHandler) and n.type is not None:
+                caught |= referenced_names(n.type)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance":
+                caught |= referenced_names(n.args[1])
+    assert defined - caught == set()
+    assert {"ComputeError", "UndefinedCorrelationError"} <= defined
