@@ -19,7 +19,6 @@ from stoplemma.induce import (
     build_final_list,
     build_set_a,
     build_set_b,
-    dedup_across_lists,
     induction_report,
     load_stopword_list,
 )
@@ -30,9 +29,6 @@ lists = [
     load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
     for i in (1, 2, 3)
 ]
-raw, deduped = dedup_across_lists(lists)
-print(f"stop word entries: {raw} raw -> {deduped} distinct")
-
 corpus = load_corpus(data_path("demo_corpus"), id="demo")
 table = lemma_table(count_words(corpus), lex)
 
@@ -46,4 +42,5 @@ for lemma, count in final.entries:
     print(f"  {lemma}\t{count}")
 
 report = induction_report(lists, set_a, set_b, final)
+print(f"stop word entries: {report['raw_word_total']} raw -> {report['deduped_word_total']} distinct")
 print(report)

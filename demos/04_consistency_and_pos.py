@@ -22,10 +22,10 @@ from stoplemma.stats import (
 paths = sorted(data_path("table3_top10").glob("*.tsv"))
 lists = {p.stem: read_ranked_tsv(p) for p in paths}
 
-report = top_k_overlap(lists, k=10)
-print(f"{report.unique_items} distinct lemmas across {report.source_count} top-10 lists")
-everywhere = sorted(l for l, n in report.counts.items() if n == report.max_count)
-print(f"present in all {report.max_count} sources:", everywhere)
+counts = top_k_overlap(lists, k=10)
+print(f"{len(counts)} distinct lemmas across {len(lists)} top-10 lists")
+most = max(counts.values())
+print(f"present in {most} of {len(lists)} sources:", sorted(l for l, n in counts.items() if n == most))
 
 pos = load_pos_lexicon(data_path("demo_pos_lexicon.tsv"))
 analysis = pos_rank_analysis(lists, pos)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .lemma import LemmaLexicon, gen_lemma
-from .normalize import read_records, write_json
+from .normalize import read_records
 
 UNTRANSLATABLE_MARK = "!"
 
@@ -22,10 +21,6 @@ class TranslationMapping:
     pairs: dict[str, tuple[str, ...]]  # external word -> Hindi surface forms
     untranslatable: frozenset[str]
 
-    @property
-    def external_total(self) -> int:
-        return len(self.pairs) + len(self.untranslatable)
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -33,13 +28,6 @@ class CoverageReport:
     untranslatable_count: int
     mapped_lemma_set: frozenset[str]
     hits: frozenset[str]
-    misses: frozenset[str]
-
-    @property
-    def coverage_ratio(self) -> Optional[float]:
-        if not self.mapped_lemma_set:
-            return None
-        return len(self.hits) / len(self.mapped_lemma_set)
 
 
 def load_mapping(path: str | Path) -> TranslationMapping:
@@ -72,37 +60,38 @@ def assess_coverage(
     Untranslatable externals are excluded from the denominator.
     """
     mapped = gen_lemma((form for targets in mapping.pairs.values() for form in targets), lex)
-    hits = {l for l in mapped if l in stop_lemmas}
     return CoverageReport(
-        external_total=mapping.external_total,
+        external_total=len(mapping.pairs) + len(mapping.untranslatable),
         untranslatable_count=len(mapping.untranslatable),
         mapped_lemma_set=frozenset(mapped),
-        hits=frozenset(hits),
-        misses=frozenset(mapped - hits),
+        hits=frozenset(l for l in mapped if l in stop_lemmas),
     )
 
 
-def write_coverage_json(report: CoverageReport, path: str | Path) -> None:
-    payload = {
+def coverage_summary(report: CoverageReport) -> dict:
+    """The ``coverage.json`` summary; the ratio is None when no lemma is mapped."""
+    mapped, hits = len(report.mapped_lemma_set), len(report.hits)
+    misses = sorted(report.mapped_lemma_set - report.hits)
+    return {
         "external_total": report.external_total,
         "untranslatable_count": report.untranslatable_count,
-        "mapped_lemma_count": len(report.mapped_lemma_set),
-        "hit_count": len(report.hits),
-        "miss_count": len(report.misses),
-        "misses": sorted(report.misses),
-        "coverage_ratio": report.coverage_ratio,
+        "mapped_lemma_count": mapped,
+        "hit_count": hits,
+        "miss_count": len(misses),
+        "misses": misses,
+        "coverage_ratio": hits / mapped if mapped else None,
     }
-    write_json(payload, path)
 
 
-def format_summary(report: CoverageReport) -> str:
-    ratio = report.coverage_ratio
+def format_summary(summary: dict) -> str:
+    """``coverage.txt``: the ``coverage_summary`` dict as lines of text."""
+    hits, mapped, ratio = summary["hit_count"], summary["mapped_lemma_count"], summary["coverage_ratio"]
+    misses = summary["misses"]
     lines = [
-        f"external words: {report.external_total} "
-        f"({report.untranslatable_count} untranslatable)",
-        f"mapped lemmas: {len(report.mapped_lemma_set)}",
-        f"present in stop-lemma list: {len(report.hits)}",
-        f"absent: {len(report.misses)}" + (f" ({', '.join(sorted(report.misses))})" if report.misses else ""),
-        "coverage: " + (f"{len(report.hits)}/{len(report.mapped_lemma_set)} = {ratio:.4f}" if ratio is not None else "undefined"),
+        f"external words: {summary['external_total']} ({summary['untranslatable_count']} untranslatable)",
+        f"mapped lemmas: {mapped}",
+        f"present in stop-lemma list: {hits}",
+        f"absent: {summary['miss_count']}" + (f" ({', '.join(misses)})" if misses else ""),
+        "coverage: " + (f"{hits}/{mapped} = {ratio:.4f}" if ratio is not None else "undefined"),
     ]
     return "\n".join(lines)

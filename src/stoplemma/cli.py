@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     report = induce_mod.induction_report(lists, set_a, set_b, final)
     return inputs, {
         "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
-        "induction_report.json": partial(write_json, vars(report)),
+        "induction_report.json": partial(write_json, report),
     }
 
 
@@ -184,16 +185,16 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
     ranked_specs = _id_paths(args.ranked, "--ranked")
     inputs = _existing(*(p for _, p in ranked_specs))
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
-    report = stats_mod.top_k_overlap(lists, k=args.k)
+    counts = stats_mod.top_k_overlap(lists, k=args.k)
     summary = {
-        "k": report.k,
-        "source_count": report.source_count,
-        "unique_items": report.unique_items,
-        "max_count": report.max_count,
-        "short_sources": list(report.short_sources),
+        "k": args.k,
+        "source_count": len(lists),
+        "unique_items": len(counts),
+        "max_count": max(counts.values(), default=0),
+        "short_sources": [ident for ident, ranked in lists.items() if len(ranked) < args.k],
     }
     return inputs, {
-        "overlap.tsv": partial(freq_mod.write_tsv, freq_mod.rank_items(report.counts)),
+        "overlap.tsv": partial(freq_mod.write_tsv, freq_mod.rank_items(counts)),
         "overlap_report.json": partial(write_json, summary),
     }
 
@@ -212,7 +213,7 @@ def cmd_posstats(args) -> tuple[list[str], dict]:
                "threshold": args.threshold}
     return inputs, {
         "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
-        "posstats.json": partial(stats_mod.write_correlation_json, report),
+        "posstats.json": partial(write_json, asdict(report)),
         "hypothesis.json": partial(write_json, verdict),
     }
 
@@ -222,11 +223,11 @@ def cmd_assess(args) -> tuple[list[str], dict]:
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_stopword_list(args.list).entries)
-    report = assess_mod.assess_coverage(mapping, lex, stop_lemmas)
-    summary = assess_mod.format_summary(report) + "\n"
+    summary = assess_mod.coverage_summary(assess_mod.assess_coverage(mapping, lex, stop_lemmas))
+    text = assess_mod.format_summary(summary) + "\n"
     return inputs, {
-        "coverage.json": partial(assess_mod.write_coverage_json, report),
-        "coverage.txt": lambda path: path.write_text(summary, encoding="utf-8"),
+        "coverage.json": partial(write_json, summary),
+        "coverage.txt": lambda path: path.write_text(text, encoding="utf-8"),
     }
 
 
@@ -318,8 +319,8 @@ def _config_value(flag: str, kind, key: str, value):
     raise ValueError(f"config key {key!r}: invalid value {value!r} for {flag}")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict; no key may repeat, also not in its other ``-``/``_`` spelling."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> None:
+    """No config key may repeat, also not in its other ``-``/``_`` spelling."""
     seen: dict[str, str] = {}
     for key, _ in pairs:
         dest = key.replace("-", "_")
@@ -328,7 +329,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
                 raise ValueError(f"config key {key!r} is given more than once")
             raise ValueError(f"config keys {seen[dest]!r} and {key!r} name the same option")
         seen[dest] = key
-    return dict(pairs)
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -338,7 +338,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
         text = read_text(args.config)
         try:
-            config = json.loads(text, object_pairs_hook=_unique_keys)
+            config = json.loads(text)
+            if isinstance(config, dict):  # the top-level pairs; a nested object's keys name no option
+                _unique_keys(json.loads(text, object_pairs_hook=list))
         except (ValueError, RecursionError) as exc:  # bad JSON, a repeated key, deep nesting
             raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):

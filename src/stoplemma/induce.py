@@ -19,15 +19,6 @@ class StopWordList:
     duplicates_removed: int = 0
 
 
-@dataclass(frozen=True)
-class InductionReport:
-    raw_word_total: int
-    deduped_word_total: int
-    set_a_size: int
-    set_b_size: int
-    final_size: int
-
-
 def load_stopword_list(path: str | Path) -> StopWordList:
     """One entry per line, ``#`` comments, in-file duplicates dropped."""
     records = list(read_records(path, 1))
@@ -35,12 +26,6 @@ def load_stopword_list(path: str | Path) -> StopWordList:
     if not entries:
         raise ValueError(f"{path}: stop word list is empty")
     return StopWordList(entries=tuple(entries), duplicates_removed=len(records) - len(entries))
-
-
-def dedup_across_lists(lists: Sequence[StopWordList]) -> tuple[int, int]:
-    """(raw entry total incl. in-file duplicates, distinct entries across lists)."""
-    raw = sum(len(sl.entries) + sl.duplicates_removed for sl in lists)
-    return raw, len(set().union(*(sl.entries for sl in lists)))
 
 
 def build_set_a(lists: Sequence[StopWordList], lex: LemmaLexicon, k: int = DEFAULT_K) -> set[str]:
@@ -88,15 +73,15 @@ def induction_report(
     set_a: set[str],
     set_b: set[str],
     final: RankedList,
-) -> InductionReport:
-    raw, deduped = dedup_across_lists(lists)
-    return InductionReport(
-        raw_word_total=raw,
-        deduped_word_total=deduped,
-        set_a_size=len(set_a),
-        set_b_size=len(set_b),
-        final_size=len(final),
-    )
+) -> dict:
+    """The ``induction_report.json`` summary; the raw total counts in-file duplicates too."""
+    return {
+        "raw_word_total": sum(len(sl.entries) + sl.duplicates_removed for sl in lists),
+        "deduped_word_total": len(set().union(*(sl.entries for sl in lists))),
+        "set_a_size": len(set_a),
+        "set_b_size": len(set_b),
+        "final_size": len(final),
+    }
 
 
 def write_stoplemma_list(final: RankedList, path: str | Path) -> None:

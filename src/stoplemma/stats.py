@@ -4,32 +4,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .freq import RankedList, top_k
-from .normalize import read_pairs, write_json
+from .normalize import read_pairs
 
 
 class UndefinedCorrelationError(ValueError):
     """Constant membership or equal counts: r is undefined."""
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    k: int
-    source_count: int
-    counts: dict[str, int]  # item -> number of sources with it in their top-k
-    short_sources: tuple[str, ...] = ()
-
-    @property
-    def unique_items(self) -> int:
-        return len(self.counts)
-
-    @property
-    def max_count(self) -> int:
-        return max(self.counts.values()) if self.counts else 0
 
 
 # The seven default groups mirror the POS categories of the correlation table.
@@ -82,13 +66,11 @@ def load_pos_lexicon(path: str | Path) -> dict[str, str]:
     return read_pairs(path)
 
 
-def top_k_overlap(lists: Mapping[str, RankedList], k: int) -> OverlapReport:
+def top_k_overlap(lists: Mapping[str, RankedList], k: int) -> Counter:
     """Count, per item, in how many ranked lists (keyed by source ID) it is among the top k."""
     if len(lists) < 2:
         raise ValueError("overlap needs at least two ranked lists")
-    counts = Counter(item for ranked in lists.values() for item in set(top_k(ranked, k)))
-    short = tuple(sid for sid, ranked in lists.items() if len(ranked) < k)
-    return OverlapReport(k=k, source_count=len(lists), counts=counts, short_sources=short)
+    return Counter(item for ranked in lists.values() for item in set(top_k(ranked, k)))
 
 
 def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[float, float]:
@@ -263,7 +245,3 @@ def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:
                 return "" if v is None else f"{v:.4f}"
             fh.write("\t".join([s.group, fmt(s.mean_r), fmt(s.sd_r), fmt(s.max_r),
                                 fmt(s.min_r), fmt(s.mean_p), fmt(s.sd_p)]) + "\n")
-
-
-def write_correlation_json(report: CorrelationReport, path: str | Path) -> None:
-    write_json(asdict(report), path)

@@ -3,6 +3,8 @@ import pytest
 from stoplemma.assess import (
     TranslationMapping,
     assess_coverage,
+    coverage_summary,
+    format_summary,
     load_mapping,
 )
 from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon, load_lexicon
@@ -23,7 +25,7 @@ class TestLoadMapping:
     def test_untranslatable(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "being\t!\n"))
         assert "being" in mapping.untranslatable
-        assert mapping.external_total == 1
+        assert assess_coverage(mapping, EMPTY_LEXICON, set()).external_total == 1
 
     def test_multi_target(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "the\tवह,यह\n"))
@@ -50,14 +52,16 @@ class TestAssessCoverage:
         )
         report = assess_coverage(mapping, EMPTY_LEXICON, {"का", "है"})
         assert report.hits == {"का", "है"}
-        assert report.misses == {"घर"}
-        assert report.coverage_ratio == pytest.approx(2 / 3)
+        summary = coverage_summary(report)
+        assert summary["misses"] == ["घर"]
+        assert summary["coverage_ratio"] == pytest.approx(2 / 3)
 
     def test_empty_mapping(self):
         mapping = TranslationMapping(pairs={}, untranslatable=frozenset())
-        report = assess_coverage(mapping, EMPTY_LEXICON, {"का"})
-        assert report.coverage_ratio is None
-        assert report.external_total == 0
+        summary = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का"}))
+        assert summary["coverage_ratio"] is None
+        assert summary["external_total"] == 0
+        assert format_summary(summary).endswith("coverage: undefined")
 
     def test_forms_lemmatized_before_membership(self):
         mapping = TranslationMapping(pairs={"went": ("गया",)}, untranslatable=frozenset())
@@ -70,16 +74,15 @@ class TestAssessCoverage:
         mapping = TranslationMapping(
             pairs={l: (l,) for l in lemmas}, untranslatable=frozenset()
         )
-        report = assess_coverage(mapping, EMPTY_LEXICON, lemmas)
-        assert report.coverage_ratio == 1.0
+        assert coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, lemmas))["coverage_ratio"] == 1.0
 
     def test_adding_lemma_never_decreases_coverage(self):
         mapping = TranslationMapping(
             pairs={"a": ("का",), "b": ("घर",)}, untranslatable=frozenset()
         )
-        small = assess_coverage(mapping, EMPTY_LEXICON, {"का"})
-        large = assess_coverage(mapping, EMPTY_LEXICON, {"का", "घर"})
-        assert large.coverage_ratio >= small.coverage_ratio
+        small = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का"}))
+        large = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का", "घर"}))
+        assert large["coverage_ratio"] >= small["coverage_ratio"]
 
     def test_misses_are_set_difference(self):
         mapping = TranslationMapping(
@@ -87,9 +90,10 @@ class TestAssessCoverage:
         )
         stop = {"का"}
         report = assess_coverage(mapping, EMPTY_LEXICON, stop)
-        assert report.misses == report.mapped_lemma_set - stop
-        assert report.hits | report.misses == report.mapped_lemma_set
-        assert not report.hits & report.misses
+        misses = set(coverage_summary(report)["misses"])
+        assert misses == report.mapped_lemma_set - stop
+        assert report.hits | misses == report.mapped_lemma_set
+        assert not report.hits & misses
 
 
 class TestBundledMappingFixture:
@@ -97,9 +101,9 @@ class TestBundledMappingFixture:
         mapping = load_mapping(data_dir / "english_hindi_mapping.tsv")
         lex = load_lexicon(demo_lexicon_path)
         stop = set(load_stopword_list(table5_path).entries)
-        report = assess_coverage(mapping, lex, stop)
-        assert report.external_total == 179
-        assert report.untranslatable_count == 3
-        assert len(report.mapped_lemma_set) == 74
-        assert report.misses == {"जरूर"}
-        assert report.coverage_ratio == pytest.approx(73 / 74)
+        summary = coverage_summary(assess_coverage(mapping, lex, stop))
+        assert summary["external_total"] == 179
+        assert summary["untranslatable_count"] == 3
+        assert summary["mapped_lemma_count"] == 74
+        assert summary["misses"] == ["जरूर"]
+        assert summary["coverage_ratio"] == pytest.approx(73 / 74)

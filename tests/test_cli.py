@@ -149,6 +149,7 @@ class TestOverlapCommand:
         report = json.loads((out / "overlap_report.json").read_text())
         assert report["max_count"] == 8
         assert report["unique_items"] == 18
+        assert report["short_sources"] == []
         first = (out / "overlap.tsv").read_text(encoding="utf-8").splitlines()[0]
         item, count = first.split("\t")
         assert int(count) == 8
@@ -161,6 +162,15 @@ class TestOverlapCommand:
                     "--out", out]) == 1
         assert f"{ranked}:1: count has 5000 digits" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_list_shorter_than_k_is_named_in_short_sources(self, tmp_path, demo_args):
+        short = tmp_path / "short.tsv"
+        short.write_text("का\t2\nहै\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["overlap", "--ranked", demo_args["ranked"][0], "--ranked", f"short={short}",
+                    "--k", "5", "--out", out]) == 0
+        report = json.loads((out / "overlap_report.json").read_text())
+        assert report["short_sources"] == ["short"]
 
 
 def test_nfd_and_nfc_ranked_items_are_one_item(tmp_path):
@@ -293,6 +303,19 @@ class TestAssessCommand:
         assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 0
         assert json.loads((out / "coverage.json").read_text())["hit_count"] == 1
 
+    def test_no_mapped_lemma_leaves_the_ratio_undefined(self, tmp_path):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("being\t!\nthereof\t!\n", encoding="utf-8")
+        listfile = tmp_path / "list.txt"
+        listfile.write_text("का\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 0
+        payload = json.loads((out / "coverage.json").read_text())
+        assert payload["coverage_ratio"] is None
+        assert payload["mapped_lemma_count"] == 0
+        assert payload["misses"] == []
+        assert (out / "coverage.txt").read_text(encoding="utf-8").endswith("coverage: undefined\n")
+
 
 class TestConfigFile:
     def test_config_supplies_options_and_flags_win(self, tmp_path, demo_args):
@@ -381,6 +404,19 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert run(["--config", config, command, *inputs[command], "--out", out]) == 1
         assert f"{config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # lexicon is no overlap option, so its value is ignored unread
+        ('{"lexicon": {"a-b": 1, "a_b": 2}}', "input path(s) not found: x, y"),
+        ('{"k": {"x": 1, "x": 1}}', "config key 'k': invalid value {'x': 1} for --k"),
+    ], ids=["ignored-key", "option-key"])
+    def test_keys_are_unique_at_the_top_level_only(self, tmp_path, capsys, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["--config", config, "overlap", "--ranked", "a=x", "--ranked", "b=y", "--out", out]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_repeatable_flag_replaces_the_config_list(self, tmp_path, demo_args):

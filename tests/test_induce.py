@@ -10,7 +10,6 @@ from stoplemma.induce import (
     build_final_list,
     build_set_a,
     build_set_b,
-    dedup_across_lists,
     induction_report,
     load_stopword_list,
     write_stoplemma_list,
@@ -47,9 +46,9 @@ class TestLoadStopwordList:
             load_stopword_list(write_list(tmp_path, f"{i}.txt", l))
             for i, l in enumerate([l1, l2, l3])
         ]
-        raw, deduped = dedup_across_lists(lists)
-        assert raw == 30
-        assert deduped == len(set(l1) | set(l2) | set(l3)) == 24
+        report = induction_report(lists, set(), set(), rank_items({}))
+        assert report["raw_word_total"] == 30
+        assert report["deduped_word_total"] == len(set(l1) | set(l2) | set(l3)) == 24
 
 
 class TestBuildSetA:
@@ -146,12 +145,13 @@ def test_induction_report_counts(tmp_path):
     set_a = build_set_a(lists, EMPTY_LEXICON, k=10)
     set_b = {"का", "घर", "जा"}
     final = build_final_list(set_a, set_b, {"का": 3, "घर": 1})
-    report = induction_report(lists, set_a, set_b, final)
-    assert report.raw_word_total == 5
-    assert report.deduped_word_total == 3
-    assert report.set_a_size == 3
-    assert report.set_b_size == 3
-    assert report.final_size == 2
+    assert induction_report(lists, set_a, set_b, final) == {
+        "raw_word_total": 5,
+        "deduped_word_total": 3,
+        "set_a_size": 3,
+        "set_b_size": 3,
+        "final_size": 2,
+    }
 
 
 def test_list_export_roundtrip(tmp_path):

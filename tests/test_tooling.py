@@ -102,3 +102,21 @@ def test_every_error_class_is_caught_by_name():
                 caught |= referenced_names(n.args[1])
     assert defined - caught == set()
     assert {"ComputeError", "UndefinedCorrelationError"} <= defined
+
+
+def test_no_unused_import_in_src():
+    # A module-level import whose bound name the module never loads is left
+    # over from deleted code.
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = {alias.asname or alias.name for alias in node.names}
+            else:
+                continue
+            unused |= {f"{path.stem}.{name}" for name in bound - loaded}
+    assert unused == set()
