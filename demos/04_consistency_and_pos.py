@@ -29,11 +29,11 @@ print(f"present in {most} of {len(lists)} sources:", sorted(l for l, n in counts
 
 pos = load_pos_lexicon(data_path("demo_pos_lexicon.tsv"))
 analysis = pos_rank_analysis(lists, pos)
-for summary in analysis.summaries:
-    if summary.mean_r is None:
-        print(f"  {summary.group:12} undefined in: {summary.flagged_sources}")
+for summary in analysis["summaries"]:
+    if summary["mean_r"] is None:
+        print(f"  {summary['group']:12} undefined in: {summary['flagged_sources']}")
     else:
-        print(f"  {summary.group:12} mean r = {summary.mean_r:+.3f}")
+        print(f"  {summary['group']:12} mean r = {summary['mean_r']:+.3f}")
 
 # A strong negative r would mean the group concentrates at the best
 # ranks; no group exceeding the threshold keeps the null standing.

@@ -14,7 +14,7 @@ from stoplemma.lemma import load_lexicon
 
 mapping = load_mapping(data_path("english_hindi_mapping.tsv"))
 lex = load_lexicon(data_path("demo_lexicon.tsv"))
-stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")).entries)
+stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")))
 
 summary = coverage_summary(assess_coverage(mapping, lex, stop))
 print(format_summary(summary))

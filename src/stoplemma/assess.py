@@ -9,17 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from .lemma import LemmaLexicon, gen_lemma
 from .normalize import read_records
 
 UNTRANSLATABLE_MARK = "!"
-
-
-@dataclass(frozen=True)
-class TranslationMapping:
-    pairs: dict[str, tuple[str, ...]]  # external word -> Hindi surface forms
-    untranslatable: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -30,28 +25,23 @@ class CoverageReport:
     hits: frozenset[str]
 
 
-def load_mapping(path: str | Path) -> TranslationMapping:
-    """TSV: ``external<TAB>hindi1[,hindi2,...]`` or ``external<TAB>!``."""
-    pairs: dict[str, tuple[str, ...]] = {}
-    untranslatable: set[str] = set()
+def load_mapping(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """Word -> Hindi forms from ``external<TAB>hindi1[,hindi2,...]`` lines; ``external<TAB>!`` gives ``()``."""
+    mapping: dict[str, tuple[str, ...]] = {}
     for lineno, (external, targets) in read_records(path, 2):
         if targets == UNTRANSLATABLE_MARK:
-            if external in pairs:
-                raise ValueError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
-            untranslatable.add(external)
-            continue
-        forms = tuple(t.strip() for t in targets.split(",") if t.strip())
-        if not forms:
-            raise ValueError(f"{path}:{lineno}: no targets for {external!r}")
-        if external in untranslatable:
-            raise ValueError(f"{path}:{lineno}: {external!r} is both mapped and untranslatable")
-        if pairs.setdefault(external, forms) != forms:
+            forms = ()
+        else:
+            forms = tuple(t.strip() for t in targets.split(",") if t.strip())
+            if not forms:
+                raise ValueError(f"{path}:{lineno}: no targets for {external!r}")
+        if mapping.setdefault(external, forms) != forms:
             raise ValueError(f"{path}:{lineno}: conflicting targets for {external!r}")
-    return TranslationMapping(pairs=pairs, untranslatable=frozenset(untranslatable))
+    return mapping
 
 
 def assess_coverage(
-    mapping: TranslationMapping,
+    mapping: Mapping[str, tuple[str, ...]],
     lex: LemmaLexicon,
     stop_lemmas: set[str],
 ) -> CoverageReport:
@@ -59,10 +49,10 @@ def assess_coverage(
 
     Untranslatable externals are excluded from the denominator.
     """
-    mapped = gen_lemma((form for targets in mapping.pairs.values() for form in targets), lex)
+    mapped = gen_lemma((form for forms in mapping.values() for form in forms), lex)
     return CoverageReport(
-        external_total=len(mapping.pairs) + len(mapping.untranslatable),
-        untranslatable_count=len(mapping.untranslatable),
+        external_total=len(mapping),
+        untranslatable_count=list(mapping.values()).count(()),
         mapped_lemma_set=frozenset(mapped),
         hits=frozenset(l for l in mapped if l in stop_lemmas),
     )

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -207,13 +206,13 @@ def cmd_posstats(args) -> tuple[list[str], dict]:
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
     tags = stats_mod.load_pos_lexicon(args.pos_lexicon)
     report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
-    if all(s.mean_r is None for s in report.summaries):
+    if all(s["mean_r"] is None for s in report["summaries"]):
         raise ComputeError("correlation undefined for every (group, source) cell")
     verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
                "threshold": args.threshold}
     return inputs, {
         "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
-        "posstats.json": partial(write_json, asdict(report)),
+        "posstats.json": partial(write_json, report),
         "hypothesis.json": partial(write_json, verdict),
     }
 
@@ -222,7 +221,7 @@ def cmd_assess(args) -> tuple[list[str], dict]:
     inputs = _existing(args.mapping, args.list, args.lexicon)
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
-    stop_lemmas = set(induce_mod.load_stopword_list(args.list).entries)
+    stop_lemmas = set(induce_mod.load_stopword_list(args.list))
     summary = assess_mod.coverage_summary(assess_mod.assess_coverage(mapping, lex, stop_lemmas))
     text = assess_mod.format_summary(summary) + "\n"
     return inputs, {
@@ -234,9 +233,13 @@ def cmd_assess(args) -> tuple[list[str], dict]:
 def _write_outputs(out: Path, outputs: dict) -> None:
     """Write every output into a staging folder, then move them into ``out``.
 
-    A failed writer leaves ``out`` as it was.  The folder is made in ``out`` if it
-    exists, else in its nearest existing ancestor, so that each move is a rename.
+    A failed writer, or an output name that is a folder in ``out``, leaves ``out``
+    as it was.  The staging folder is made in ``out`` if it exists, else in its
+    nearest existing ancestor, so that each move is a rename.
     """
+    for name in outputs:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name}: an output file cannot replace this folder")
     base = out.absolute()
     while not base.is_dir():
         base = base.parent

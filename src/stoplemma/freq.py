@@ -121,23 +121,28 @@ def write_tsv(ranked: RankedList, path: str | Path) -> None:
 
 
 def read_ranked_tsv(path: str | Path) -> RankedList:
-    """Read an ``item<TAB>count`` file written in rank order.
+    """Read an ``item<TAB>count`` file written in rank order, as ``rank_items`` ranks.
 
     Counts are non-negative integers in ASCII digits, within ``int()``'s
-    digit limit, and no item repeats; otherwise the ``ValueError`` names
-    ``path:lineno``.
+    digit limit, no item repeats and each record ranks below the one before;
+    otherwise the ``ValueError`` names ``path:lineno``.
     """
     counts: dict[str, int] = {}
+    last_count, last_item = float("inf"), ""  # the record before; any first record follows it
     for lineno, (item, count) in read_records(path, 2):
         if not (count.isascii() and count.isdigit()):
             raise ValueError(f"{path}:{lineno}: count must be a non-negative integer, got {count!r}")
         if item in counts:
             raise ValueError(f"{path}:{lineno}: repeated item {item!r}")
         try:
-            counts[item] = int(count)
+            n = counts[item] = int(count)
         except ValueError:  # more digits than int() converts
             raise ValueError(f"{path}:{lineno}: count has {len(count)} digits, "
                              f"more than int() accepts") from None
+        if n > last_count or (n == last_count and item < last_item):
+            raise ValueError(f"{path}:{lineno}: {item!r} is out of rank order "
+                             f"(count descending, ties in codepoint order)")
+        last_count, last_item = n, item
     return RankedList(entries=tuple(counts.items()))
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -13,30 +14,23 @@ from .normalize import read_records
 DEFAULT_K = 100
 
 
-@dataclass(frozen=True)
-class StopWordList:
-    entries: tuple[str, ...]  # published rank order, deduplicated
-    duplicates_removed: int = 0
-
-
-def load_stopword_list(path: str | Path) -> StopWordList:
-    """One entry per line, ``#`` comments, in-file duplicates dropped."""
-    records = list(read_records(path, 1))
-    entries = dict.fromkeys(" ".join(entry.split()) for _, (entry,) in records)
+def load_stopword_list(path: str | Path) -> Counter:
+    """Entry (inner whitespace collapsed) -> lines holding it, in published rank order; ``#`` comments."""
+    entries = Counter(" ".join(entry.split()) for _, (entry,) in read_records(path, 1))
     if not entries:
         raise ValueError(f"{path}: stop word list is empty")
-    return StopWordList(entries=tuple(entries), duplicates_removed=len(records) - len(entries))
+    return entries
 
 
-def build_set_a(lists: Sequence[StopWordList], lex: LemmaLexicon, k: int = DEFAULT_K) -> set[str]:
+def build_set_a(lists: Sequence[Counter], lex: LemmaLexicon, k: int = DEFAULT_K) -> set[str]:
     """Union of lemmatized top-k prefixes of the published stop word lists."""
     if not lists:
         raise ValueError("need at least one stop word list")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     result: set[str] = set()
-    for sl in lists:
-        result |= gen_lemma(sl.entries[:k], lex)
+    for entries in lists:
+        result |= gen_lemma(islice(entries, k), lex)
     return result
 
 
@@ -69,15 +63,15 @@ def aggregate_lemma_counts(tables: Sequence[Mapping[str, int]]) -> dict[str, int
 
 
 def induction_report(
-    lists: Sequence[StopWordList],
+    lists: Sequence[Counter],
     set_a: set[str],
     set_b: set[str],
     final: RankedList,
 ) -> dict:
     """The ``induction_report.json`` summary; the raw total counts in-file duplicates too."""
     return {
-        "raw_word_total": sum(len(sl.entries) + sl.duplicates_removed for sl in lists),
-        "deduped_word_total": len(set().union(*(sl.entries for sl in lists))),
+        "raw_word_total": sum(entries.total() for entries in lists),
+        "deduped_word_total": len(set().union(*lists)),
         "set_a_size": len(set_a),
         "set_b_size": len(set_b),
         "final_size": len(final),

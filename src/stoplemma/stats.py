@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -28,37 +27,6 @@ DEFAULT_GROUPS = {
 }
 # the groups are disjoint, so a tag names at most one of them
 _GROUP_OF_TAG = {tag: g for g, tags in enumerate(DEFAULT_GROUPS.values()) for tag in tags}
-
-
-@dataclass(frozen=True)
-class CorrelationCell:
-    group: str
-    source_id: str
-    r: Optional[float]
-    p: Optional[float]
-    n1: int
-    n0: int
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class GroupSummary:
-    group: str
-    mean_r: Optional[float]
-    sd_r: Optional[float]
-    max_r: Optional[float]
-    min_r: Optional[float]
-    mean_p: Optional[float]
-    sd_p: Optional[float]
-    defined_sources: int
-    flagged_sources: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    cells: tuple[CorrelationCell, ...]
-    summaries: tuple[GroupSummary, ...]
-    depth: int
 
 
 def load_pos_lexicon(path: str | Path) -> dict[str, str]:
@@ -149,14 +117,15 @@ def pos_rank_analysis(
     tags: Mapping[str, str],
     depth: Optional[int] = None,
     use_frequency: bool = False,
-) -> CorrelationReport:
-    """Correlate POS-group membership with rank over each source's top entries.
+) -> dict:
+    """The ``posstats.json`` dict: POS-group membership against rank over each source's top entries.
 
-    ``lists`` maps each source ID to its ranked list; a group's cells follow
-    the mapping's order.  ``tags`` maps an item to its POS tag.  Cells where
-    r is undefined (a group absent or omnipresent in a source) are flagged
-    and excluded from that group's descriptive statistics.  ``depth``, when
-    given, must be at least 1; by default every entry is used.
+    ``lists`` maps each source ID to its ranked list; ``cells`` (see ``_cell``)
+    go group by group, in that order within a group.  ``tags`` maps an item
+    to its POS tag.  Cells where r is undefined (a group absent or
+    omnipresent in a source) are flagged and excluded from that group's
+    summary.  ``depth``, when given, must be at least 1; by default every
+    entry is used.
 
     Each cell has the r and p of ``point_biserial`` over the source's 0/1
     group membership and its ranks (or, with ``use_frequency``, its counts).
@@ -173,33 +142,33 @@ def pos_rank_analysis(
             columns.append(_source_cells(sid, ranked.entries[:depth], tags, use_frequency))
         except OverflowError as exc:  # a count beyond what a float holds
             raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
-    cells: list[CorrelationCell] = []
-    summaries: list[GroupSummary] = []
+    cells, summaries = [], []
     for g, group in enumerate(DEFAULT_GROUPS):
         row = [column[g] for column in columns]
         cells += row
-        rs = [c.r for c in row if c.error is None]
-        ps = [c.p for c in row if c.error is None]
-        if rs:
-            mean_r, sd_r, max_r, min_r = descriptive_stats(rs)
-            mean_p, sd_p, _, _ = descriptive_stats(ps)
-        else:
-            mean_r = sd_r = max_r = min_r = mean_p = sd_p = None
-        summaries.append(GroupSummary(
-            group=group, mean_r=mean_r, sd_r=sd_r, max_r=max_r, min_r=min_r,
-            mean_p=mean_p, sd_p=sd_p, defined_sources=len(rs),
-            flagged_sources=tuple(c.source_id for c in row if c.error is not None),
-        ))
-    return CorrelationReport(cells=tuple(cells), summaries=tuple(summaries), depth=actual_depth)
+        rs = [c["r"] for c in row if c["error"] is None]
+        ps = [c["p"] for c in row if c["error"] is None]
+        mean_r, sd_r, max_r, min_r = descriptive_stats(rs) if rs else (None,) * 4
+        mean_p, sd_p, _, _ = descriptive_stats(ps) if ps else (None,) * 4
+        summaries.append({
+            "group": group, "mean_r": mean_r, "sd_r": sd_r, "max_r": max_r, "min_r": min_r,
+            "mean_p": mean_p, "sd_p": sd_p, "defined_sources": len(rs),
+            "flagged_sources": [c["source_id"] for c in row if c["error"] is not None],
+        })
+    return {"cells": cells, "summaries": summaries, "depth": actual_depth}
+
+
+def _cell(group: str, sid: str, n1: int, n0: int, r=None, p=None, error=None) -> dict:
+    """One ``posstats.json`` cell; r and p are None where ``error`` says why r is undefined."""
+    return {"group": group, "source_id": sid, "r": r, "p": p, "n1": n1, "n0": n0, "error": error}
 
 
 def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[str, str],
-                  use_frequency: bool) -> list[CorrelationCell]:
+                  use_frequency: bool) -> list[dict]:
     """One source's cell for each of DEFAULT_GROUPS, in their order."""
     n = len(entries)
     if n < 3:
-        return [CorrelationCell(group, sid, None, None, 0, 0, error="fewer than 3 entries")
-                for group in DEFAULT_GROUPS]
+        return [_cell(group, sid, 0, 0, error="fewer than 3 entries") for group in DEFAULT_GROUPS]
     if use_frequency:
         ints = [count for _, count in entries]
         # counts become floats before any cell: one that no float holds fails
@@ -223,25 +192,23 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
             _non_members(n, n1)
             r, p = _r_and_p(n, n1, n0, sums[g] / n1, (total - sums[g]) / n0, var)
         except UndefinedCorrelationError as exc:
-            cells.append(CorrelationCell(group, sid, None, None, n1, n0, error=str(exc)))
+            cells.append(_cell(group, sid, n1, n0, error=str(exc)))
         else:
-            cells.append(CorrelationCell(group, sid, r, p, n1, n0))
+            cells.append(_cell(group, sid, n1, n0, r, p))
     return cells
 
 
-def reject_pos_hypothesis(report: CorrelationReport, threshold: float = 0.5) -> bool:
-    """True when no POS group shows |mean r| above the threshold."""
+def reject_pos_hypothesis(report: dict, threshold: float = 0.5) -> bool:
+    """True when no POS group of a ``pos_rank_analysis`` report shows |mean r| above the threshold."""
     return all(
-        s.mean_r is None or abs(s.mean_r) <= threshold
-        for s in report.summaries
+        s["mean_r"] is None or abs(s["mean_r"]) <= threshold
+        for s in report["summaries"]
     )
 
 
-def write_correlation_tsv(report: CorrelationReport, path: str | Path) -> None:
+def write_correlation_tsv(report: dict, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("Part of Speech\tMean\tSD\tMax\tMin\tP Mean\tP SD\n")
-        for s in report.summaries:
-            def fmt(v):
-                return "" if v is None else f"{v:.4f}"
-            fh.write("\t".join([s.group, fmt(s.mean_r), fmt(s.sd_r), fmt(s.max_r),
-                                fmt(s.min_r), fmt(s.mean_p), fmt(s.sd_p)]) + "\n")
+        for s in report["summaries"]:
+            values = [s[key] for key in ("mean_r", "sd_r", "max_r", "min_r", "mean_p", "sd_p")]
+            fh.write("\t".join([s["group"], *("" if v is None else f"{v:.4f}" for v in values)]) + "\n")

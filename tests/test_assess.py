@@ -1,7 +1,6 @@
 import pytest
 
 from stoplemma.assess import (
-    TranslationMapping,
     assess_coverage,
     coverage_summary,
     format_summary,
@@ -20,23 +19,24 @@ def write_mapping(tmp_path, content):
 class TestLoadMapping:
     def test_single_target(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "must\tजरूर\n"))
-        assert mapping.pairs == {"must": ("जरूर",)}
+        assert mapping == {"must": ("जरूर",)}
 
     def test_untranslatable(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "being\t!\n"))
-        assert "being" in mapping.untranslatable
-        assert assess_coverage(mapping, EMPTY_LEXICON, set()).external_total == 1
+        assert mapping == {"being": ()}
+        report = assess_coverage(mapping, EMPTY_LEXICON, set())
+        assert (report.external_total, report.untranslatable_count) == (1, 1)
 
     def test_multi_target(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "the\tवह,यह\n"))
-        assert mapping.pairs["the"] == ("वह", "यह")
+        assert mapping["the"] == ("वह", "यह")
 
     def test_conflicting_duplicate(self, tmp_path):
         with pytest.raises(ValueError, match="conflicting"):
             load_mapping(write_mapping(tmp_path, "a\tवह\na\tयह\n"))
 
     def test_mapped_and_untranslatable_conflict(self, tmp_path):
-        with pytest.raises(ValueError, match="both"):
+        with pytest.raises(ValueError, match="conflicting"):
             load_mapping(write_mapping(tmp_path, "a\tवह\na\t!\n"))
 
     def test_malformed_line(self, tmp_path):
@@ -46,10 +46,7 @@ class TestLoadMapping:
 
 class TestAssessCoverage:
     def test_partial_coverage(self):
-        mapping = TranslationMapping(
-            pairs={"a": ("का",), "b": ("है",), "c": ("घर",)},
-            untranslatable=frozenset(),
-        )
+        mapping = {"a": ("का",), "b": ("है",), "c": ("घर",)}
         report = assess_coverage(mapping, EMPTY_LEXICON, {"का", "है"})
         assert report.hits == {"का", "है"}
         summary = coverage_summary(report)
@@ -57,37 +54,30 @@ class TestAssessCoverage:
         assert summary["coverage_ratio"] == pytest.approx(2 / 3)
 
     def test_empty_mapping(self):
-        mapping = TranslationMapping(pairs={}, untranslatable=frozenset())
-        summary = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का"}))
+        summary = coverage_summary(assess_coverage({}, EMPTY_LEXICON, {"का"}))
         assert summary["coverage_ratio"] is None
         assert summary["external_total"] == 0
         assert format_summary(summary).endswith("coverage: undefined")
 
     def test_forms_lemmatized_before_membership(self):
-        mapping = TranslationMapping(pairs={"went": ("गया",)}, untranslatable=frozenset())
+        mapping = {"went": ("गया",)}
         lex = LemmaLexicon(entries={"गया": "जा"})
         report = assess_coverage(mapping, lex, {"जा"})
         assert report.hits == {"जा"}
 
     def test_self_coverage_is_one(self):
         lemmas = {"का", "है", "घर"}
-        mapping = TranslationMapping(
-            pairs={l: (l,) for l in lemmas}, untranslatable=frozenset()
-        )
+        mapping = {l: (l,) for l in lemmas}
         assert coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, lemmas))["coverage_ratio"] == 1.0
 
     def test_adding_lemma_never_decreases_coverage(self):
-        mapping = TranslationMapping(
-            pairs={"a": ("का",), "b": ("घर",)}, untranslatable=frozenset()
-        )
+        mapping = {"a": ("का",), "b": ("घर",)}
         small = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का"}))
         large = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का", "घर"}))
         assert large["coverage_ratio"] >= small["coverage_ratio"]
 
     def test_misses_are_set_difference(self):
-        mapping = TranslationMapping(
-            pairs={"a": ("का", "घर"), "b": ("है",)}, untranslatable=frozenset()
-        )
+        mapping = {"a": ("का", "घर"), "b": ("है",)}
         stop = {"का"}
         report = assess_coverage(mapping, EMPTY_LEXICON, stop)
         misses = set(coverage_summary(report)["misses"])
@@ -100,7 +90,7 @@ class TestBundledMappingFixture:
     def test_english_replay(self, data_dir, demo_lexicon_path, table5_path):
         mapping = load_mapping(data_dir / "english_hindi_mapping.tsv")
         lex = load_lexicon(demo_lexicon_path)
-        stop = set(load_stopword_list(table5_path).entries)
+        stop = set(load_stopword_list(table5_path))
         summary = coverage_summary(assess_coverage(mapping, lex, stop))
         assert summary["external_total"] == 179
         assert summary["untranslatable_count"] == 3

@@ -137,6 +137,19 @@ class TestInduceCommand:
         assert report["final_size"] <= min(report["set_a_size"], report["set_b_size"])
         assert report["deduped_word_total"] <= report["raw_word_total"]
 
+    def test_report_totals_count_lines_and_distinct_entries(self, tmp_path, demo_args):
+        # raw counts every entry line, in-file duplicates too; deduped counts the
+        # distinct whitespace-normalized entries of all lists
+        first = tmp_path / "first.txt"
+        first.write_text("का\nकी  तरह\nका\nकी तरह\nहै\n", encoding="utf-8")
+        second = tmp_path / "second.txt"
+        second.write_text("है\nघर\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["induce", "--stoplist", f"a={first}", "--stoplist", f"b={second}",
+                    "--corpus", demo_args["corpus"], "--out", out]) == 0
+        report = json.loads((out / "induction_report.json").read_text())
+        assert (report["raw_word_total"], report["deduped_word_total"]) == (7, 4)
+
 
 class TestOverlapCommand:
     def test_table3_replay(self, tmp_path, demo_args):
@@ -161,6 +174,16 @@ class TestOverlapCommand:
         assert run(["overlap", "--ranked", demo_args["ranked"][0], "--ranked", f"big={ranked}",
                     "--out", out]) == 1
         assert f"{ranked}:1: count has 5000 digits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_list_in_reverse_rank_order_exits_1_naming_the_line(self, tmp_path, capsys):
+        up, down = tmp_path / "up.tsv", tmp_path / "down.tsv"
+        up.write_text("a\t1\nb\t5\nc\t9\n", encoding="utf-8")
+        down.write_text("a\t9\nb\t5\nc\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["overlap", "--ranked", f"up={up}", "--ranked", f"down={down}",
+                    "--k", "1", "--out", out]) == 1
+        assert f"{up}:2: 'b' is out of rank order" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_list_shorter_than_k_is_named_in_short_sources(self, tmp_path, demo_args):
@@ -315,6 +338,28 @@ class TestAssessCommand:
         assert payload["mapped_lemma_count"] == 0
         assert payload["misses"] == []
         assert (out / "coverage.txt").read_text(encoding="utf-8").endswith("coverage: undefined\n")
+
+    def test_a_repeated_line_counts_its_word_once(self, tmp_path):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("being\t!\nmust\tजरूर\nbeing\t!\nmust\tजरूर\n", encoding="utf-8")
+        listfile = tmp_path / "list.txt"
+        listfile.write_text("जरूर\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 0
+        payload = json.loads((out / "coverage.json").read_text())
+        assert (payload["external_total"], payload["untranslatable_count"]) == (2, 1)
+
+    @pytest.mark.parametrize("lines", ["a\tवह\na\t!\n", "a\t!\na\tवह\n"],
+                             ids=["mapped-first", "untranslatable-first"])
+    def test_a_word_both_mapped_and_untranslatable_exits_1(self, tmp_path, capsys, lines):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text(lines, encoding="utf-8")
+        listfile = tmp_path / "list.txt"
+        listfile.write_text("वह\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 1
+        assert f"{mapping}:2:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -510,6 +555,16 @@ class TestNoPartialOutput:
         assert tree["keep.txt"] == b"keep"
         assert tree["words_demo.tsv"] != b"stale"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_folder_under_an_output_name_changes_no_out(self, tmp_path, capsys, demo_args):
+        out = tmp_path / "out"
+        (out / "provenance.json").mkdir(parents=True)
+        (out / "words_demo.tsv").write_text("old", encoding="utf-8")
+        names = sorted(out.rglob("*"))
+        assert run(["freq", "--corpus", demo_args["corpus"], "--out", out]) == 1
+        assert str(out / "provenance.json") in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == names
+        assert tree_bytes(out) == {"words_demo.tsv": b"old"}
 
 
 @pytest.mark.parametrize("option, source", [

@@ -156,6 +156,18 @@ def test_ranked_tsv_repeated_item_rejected(tmp_path):
         read_ranked_tsv(path)
 
 
+@pytest.mark.parametrize("rows", [
+    "का\t9\nहै\t5\nवह\t7\n",  # a count above the one before
+    "का\t9\nहै\t5\nघर\t5\n",  # a tie with an item of a lower code point after it
+], ids=["count", "tie"])
+def test_ranked_tsv_out_of_rank_order_rejected(tmp_path, rows):
+    path = tmp_path / "r.tsv"
+    path.write_text(rows, encoding="utf-8")
+    line = len(rows.splitlines())
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ") + ".* out of rank order"):
+        read_ranked_tsv(path)
+
+
 def test_policy_flags_respected():
     text = "घर abc 45 १२ ।"
     table = count_words(corpus_of(text), FilterPolicy(drop_latin_words=False))

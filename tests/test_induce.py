@@ -1,11 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from stoplemma import data_path
 from stoplemma.freq import RankedList, rank_items
 from stoplemma.induce import (
-    StopWordList,
     aggregate_lemma_counts,
     build_final_list,
     build_set_a,
@@ -30,8 +30,8 @@ def ranked_from(counts):
 class TestLoadStopwordList:
     def test_dedup_logged(self, tmp_path):
         sl = load_stopword_list(write_list(tmp_path, "l.txt", ["का", "का", "है"]))
-        assert sl.entries == ("का", "है")
-        assert sl.duplicates_removed == 1
+        assert list(sl) == ["का", "है"]
+        assert sl == {"का": 2, "है": 1}
 
     def test_comment_only_file_is_empty_error(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -53,12 +53,12 @@ class TestLoadStopwordList:
 
 class TestBuildSetA:
     def test_single_element(self):
-        lists = [StopWordList(("गया",))]
+        lists = [Counter(["गया"])]
         lex = LemmaLexicon(entries={"गया": "जा"})
         assert build_set_a(lists, lex, k=100) == {"जा"}
 
     def test_disjoint_union(self):
-        lists = [StopWordList(("का", "है")), StopWordList(("घर", "जा"))]
+        lists = [Counter(["का", "है"]), Counter(["घर", "जा"])]
         assert build_set_a(lists, EMPTY_LEXICON, k=100) == {"का", "है", "घर", "जा"}
 
     def test_overlapping_morphology_collapses(self):
@@ -66,24 +66,24 @@ class TestBuildSetA:
             "गया": "जा", "जाता": "जा", "किया": "कर", "करते": "कर", "हैं": "है",
         })
         lists = [
-            StopWordList(("गया", "जाता", "किया", "का")),
-            StopWordList(("करते", "हैं", "है", "गया")),
-            StopWordList(("घर", "राम", "जाता", "किया")),
+            Counter(["गया", "जाता", "किया", "का"]),
+            Counter(["करते", "हैं", "है", "गया"]),
+            Counter(["घर", "राम", "जाता", "किया"]),
         ]
         # brute force: union of per-list lemma images
         expected = set()
         for sl in lists:
-            expected |= {lex.lemma_of(w) for w in sl.entries}
+            expected |= {lex.lemma_of(w) for w in sl}
         result = build_set_a(lists, lex, k=100)
         assert result == expected == {"जा", "कर", "का", "है", "घर", "राम"}
 
     def test_k_truncates_each_list(self):
-        lists = [StopWordList(("का", "है", "घर"))]
+        lists = [Counter(["का", "है", "घर"])]
         assert build_set_a(lists, EMPTY_LEXICON, k=2) == {"का", "है"}
 
     def test_multiword_entries_lemmatized_tokenwise(self):
         lex = LemmaLexicon(entries={"की": "का"})
-        lists = [StopWordList(("की तरह",))]
+        lists = [Counter(["की तरह"])]
         assert build_set_a(lists, lex, k=10) == {"का तरह"}
 
 
@@ -158,12 +158,12 @@ def test_list_export_roundtrip(tmp_path):
     final = build_final_list({"का", "है"}, {"का", "है"}, {"का": 2, "है": 1})
     out = tmp_path / "list.txt"
     write_stoplemma_list(final, out)
-    assert load_stopword_list(out).entries == ("का", "है")
+    assert list(load_stopword_list(out)) == ["का", "है"]
 
 
 class TestReferenceList:
     def test_bundled_list_facts(self, table5_path):
-        lemmas = load_stopword_list(table5_path).entries
+        lemmas = list(load_stopword_list(table5_path))
         assert len(lemmas) == 311
         assert lemmas[0] == "का"
         assert "है" in lemmas
@@ -172,4 +172,4 @@ class TestReferenceList:
 
     def test_read_as_a_stop_word_list(self, tmp_path):
         path = write_list(tmp_path, "ref.txt", ["का  है", "# comment", "घर", "का है", " घर "])
-        assert load_stopword_list(path).entries == ("का है", "घर")
+        assert list(load_stopword_list(path)) == ["का है", "घर"]

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from stoplemma.freq import RankedList, rank_items, read_ranked_tsv
 from stoplemma.stats import (
     DEFAULT_GROUPS,
-    CorrelationCell,
-    GroupSummary,
     UndefinedCorrelationError,
     descriptive_stats,
     load_pos_lexicon,
@@ -151,44 +149,44 @@ class TestPosRankAnalysis:
     def test_absent_group_flagged(self):
         lists = {"s": ranked_from({"का": 5, "है": 4, "वह": 3, "कर": 2})}
         report = pos_rank_analysis(lists, self.make_lex())
-        sym = next(s for s in report.summaries if s.group == "SYM")
-        assert sym.mean_r is None
-        assert sym.flagged_sources == ("s",)
+        sym = next(s for s in report["summaries"] if s["group"] == "SYM")
+        assert sym["mean_r"] is None
+        assert sym["flagged_sources"] == ["s"]
 
     def test_front_loaded_group_strongly_negative(self):
         # all PSP/PRP items at the best ranks
         counts = {"का": 90, "वह": 80, "में": 70}
         counts.update({f"w{i}": 60 - i for i in range(12)})
         report = pos_rank_analysis({"s": ranked_from(counts)}, self.make_lex())
-        cell = next(c for c in report.cells if c.group == "PSP/PRP")
+        cell = next(c for c in report["cells"] if c["group"] == "PSP/PRP")
         membership = [1, 1, 1] + [0] * 12
         ranks = [float(i + 1) for i in range(15)]
         pearson = np.corrcoef(membership, ranks)[0, 1]
-        assert cell.r == pytest.approx(pearson, abs=1e-12)
-        assert cell.r < -0.5
+        assert cell["r"] == pytest.approx(pearson, abs=1e-12)
+        assert cell["r"] < -0.5
 
     def test_use_frequency_correlates_counts(self):
         counts = {"का": 90, "है": 41, "वह": 40, "घर": 12, "कर": 7, "में": 3, "राम": 1}
         ranked = ranked_from(counts)
         lex = self.make_lex()
         report = pos_rank_analysis({"s": ranked}, lex, use_frequency=True)
-        defined = [c for c in report.cells if c.r is not None]
+        defined = [c for c in report["cells"] if c["r"] is not None]
         assert defined
         values = [float(c) for _, c in ranked.entries]
         for cell in defined:
-            membership = [1 if lex.get(item) in DEFAULT_GROUPS[cell.group] else 0
+            membership = [1 if lex.get(item) in DEFAULT_GROUPS[cell["group"]] else 0
                           for item, _ in ranked.entries]
-            assert (cell.r, cell.p) == point_biserial(membership, values)
+            assert (cell["r"], cell["p"]) == point_biserial(membership, values)
 
     def test_constant_membership_is_flagged_before_the_variance_is_checked(self):
         entries = tuple((f"w{i}", (4 - i) * 10**200) for i in range(4))  # squares overflow
         report = pos_rank_analysis({"s": RankedList(entries)}, {}, use_frequency=True)
-        assert {c.error for c in report.cells} == {"membership is constant"}
+        assert {c["error"] for c in report["cells"]} == {"membership is constant"}
         with pytest.raises(ValueError, match="source s: count too large"):
             pos_rank_analysis({"s": RankedList(entries)}, {"w0": "VM"}, use_frequency=True)
         equal = RankedList(tuple((f"w{i}", 5) for i in range(4)))
         report = pos_rank_analysis({"s": equal}, {"w0": "VM"}, use_frequency=True)
-        assert {c.group: c.error for c in report.cells if c.group in ("VM", "CC")} == {
+        assert {c["group"]: c["error"] for c in report["cells"] if c["group"] in ("VM", "CC")} == {
             "VM": "counts have zero variance", "CC": "membership is constant"}
 
     def test_aggregation_arithmetic(self):
@@ -200,9 +198,9 @@ class TestPosRankAnalysis:
         counts = {f"w{i}": 100 - i for i in range(20)}
         counts["का"] = 200
         report = pos_rank_analysis({"s": ranked_from(counts)}, self.make_lex(), depth=5)
-        assert report.depth == 5
-        cell = next(c for c in report.cells if c.group == "PSP/PRP")
-        assert cell.n1 + cell.n0 == 5
+        assert report["depth"] == 5
+        cell = next(c for c in report["cells"] if c["group"] == "PSP/PRP")
+        assert cell["n1"] + cell["n0"] == 5
 
     @pytest.mark.parametrize("depth", [0, -3])
     def test_depth_below_one_rejected(self, depth):
@@ -235,6 +233,10 @@ def test_default_groups_are_disjoint():
             assert not DEFAULT_GROUPS[a] & DEFAULT_GROUPS[b], (a, b)
 
 
+def reference_cell(group, sid, r, p, n1, n0, error=None):
+    return {"group": group, "source_id": sid, "r": r, "p": p, "n1": n1, "n0": n0, "error": error}
+
+
 def reference_analysis(lists, lex, depth, use_frequency=False):
     """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts."""
     cells, summaries = [], []
@@ -245,25 +247,27 @@ def reference_analysis(lists, lex, depth, use_frequency=False):
             membership = [1 if lex.get(item) in members else 0 for item, _ in entries]
             n1, n0 = sum(membership), len(entries) - sum(membership)
             if len(entries) < 3:
-                row.append(CorrelationCell(group, sid, None, None, 0, 0, "fewer than 3 entries"))
+                row.append(reference_cell(group, sid, None, None, 0, 0, "fewer than 3 entries"))
                 continue
             values = [float(count) if use_frequency else float(rank)
                       for rank, (_, count) in enumerate(entries, start=1)]
             try:
                 r, p = point_biserial(membership, values)
             except UndefinedCorrelationError as exc:
-                row.append(CorrelationCell(group, sid, None, None, n1, n0, str(exc)))
+                row.append(reference_cell(group, sid, None, None, n1, n0, str(exc)))
                 continue
-            row.append(CorrelationCell(group, sid, r, p, n1, n0))
+            row.append(reference_cell(group, sid, r, p, n1, n0))
         cells += row
-        defined = [c for c in row if c.error is None]
+        defined = [c for c in row if c["error"] is None]
         mean_r = sd_r = max_r = min_r = mean_p = sd_p = None
         if defined:
-            mean_r, sd_r, max_r, min_r = descriptive_stats([c.r for c in defined])
-            mean_p, sd_p, _, _ = descriptive_stats([c.p for c in defined])
-        flagged = tuple(c.source_id for c in row if c.error is not None)
-        summaries.append(GroupSummary(group, mean_r, sd_r, max_r, min_r, mean_p, sd_p,
-                                      len(defined), flagged))
+            mean_r, sd_r, max_r, min_r = descriptive_stats([c["r"] for c in defined])
+            mean_p, sd_p, _, _ = descriptive_stats([c["p"] for c in defined])
+        summaries.append({
+            "group": group, "mean_r": mean_r, "sd_r": sd_r, "max_r": max_r, "min_r": min_r,
+            "mean_p": mean_p, "sd_p": sd_p, "defined_sources": len(defined),
+            "flagged_sources": [c["source_id"] for c in row if c["error"] is not None],
+        })
     return cells, summaries
 
 
@@ -290,8 +294,8 @@ def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, u
     report = pos_rank_analysis(lists, lex, depth=depth, use_frequency=use_frequency)
     cells, summaries = reference_analysis(lists, lex, depth, use_frequency)
     # == on r and p: below 2**53 the exact integer sums give point_biserial's very floats
-    assert report.cells == tuple(cells)
-    assert report.summaries == tuple(summaries)
+    assert report == {"cells": cells, "summaries": summaries,
+                      "depth": depth or max(map(len, lists.values()))}
 
 
 def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
@@ -301,12 +305,12 @@ def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
     order = [f"w{i}" for i in range(60)]
     lex = {f"w{i}": "PSP" if i % 3 == 0 else "VM" for i in range(0, 60, 2)}
     report = pos_rank_analysis({"s": RankedList(tuple(zip(order, counts)))}, lex, use_frequency=True)
-    defined = [c for c in report.cells if c.error is None]
-    assert [c.group for c in defined] == ["PSP/PRP", "VM"]
+    defined = [c for c in report["cells"] if c["error"] is None]
+    assert [c["group"] for c in defined] == ["PSP/PRP", "VM"]
     values = [float(c) for c in counts]
     for cell in defined:
-        r, p = point_biserial([1 if lex.get(item) in DEFAULT_GROUPS[cell.group] else 0
+        r, p = point_biserial([1 if lex.get(item) in DEFAULT_GROUPS[cell["group"]] else 0
                                for item in order], values)
-        assert cell.r == pytest.approx(r, rel=1e-12)
-        assert cell.p == pytest.approx(p, rel=1e-12)
+        assert cell["r"] == pytest.approx(r, rel=1e-12)
+        assert cell["p"] == pytest.approx(p, rel=1e-12)
 

@@ -1,11 +1,17 @@
 import ast
 import builtins
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src" / "stoplemma"
+BENCHMARK = PYPROJECT.parent / "BENCHMARK.json"
+
+# per-layer names that bench/run.py derives from other figures, not from one src/ function
+DERIVED_LAYERS = re.compile(r"\w+\.self_s|cli\.cpu_s|\w+\.import_s|stats\.write_s")
 
 # Public names that need no caller in src/, each with the reason it stays.
 NO_SRC_CALLER = {
@@ -120,3 +126,18 @@ def test_no_unused_import_in_src():
                 continue
             unused |= {f"{path.stem}.{name}" for name in bound - loaded}
     assert unused == set()
+
+
+def test_bench_layer_names_exist_in_src():
+    # A traced bench run times each M.F_s layer around the function F of
+    # module M; if F is gone the run fails with "metrics not measured".
+    modules, timed = set(), set()
+    for path in SRC.glob("*.py"):
+        modules.add(path.stem)
+        timed |= {f"{path.stem}.{n.name}_s" for n in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    layers = [m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]]
+    pinned = {name for name in layers if name.partition(".")[0] in modules
+              and name.endswith("_s") and not DERIVED_LAYERS.fullmatch(name)}
+    assert pinned
+    assert pinned - timed == set()
