@@ -129,6 +129,11 @@ def _load_lexicon_arg(args) -> lemma_mod.LemmaLexicon:
     return lemma_mod.EMPTY_LEXICON
 
 
+def _write_ranked(counts: dict[str, int], path: Path) -> None:
+    """Rank ``counts`` as the TSV is written, so that one ranked table is alive at a time."""
+    freq_mod.write_tsv(freq_mod.rank_items(counts), path)
+
+
 # Each cmd_* checks its inputs and computes; it returns the input paths and
 # a writer per output file name.  main() adds the provenance and writes them.
 
@@ -141,12 +146,12 @@ def cmd_freq(args) -> tuple[list[str], dict]:
     tables = []
     outputs = {}
     for ident, path in corpora:
-        source = corpus_mod.load_corpus(path, id=ident)
-        words = freq_mod.count_words(source, policy)
+        # no name holds the corpus, so its documents are freed before the next one loads
+        words = freq_mod.count_words(corpus_mod.load_corpus(path, id=ident), policy)
         lemmas = freq_mod.lemma_table(words, lex)
         tables += [words, lemmas]
-        outputs[f"words_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(words.counts))
-        outputs[f"lemmas_{ident}.tsv"] = partial(freq_mod.write_tsv, freq_mod.rank_items(lemmas.counts))
+        outputs[f"words_{ident}.tsv"] = partial(_write_ranked, words.counts)
+        outputs[f"lemmas_{ident}.tsv"] = partial(_write_ranked, lemmas.counts)
     outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
     return inputs, outputs
 
@@ -164,8 +169,7 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     lemma_tables = []
     ranked = []
     for ident, path in corpora:
-        source = corpus_mod.load_corpus(path, id=ident)
-        table = freq_mod.lemma_table(freq_mod.count_words(source, policy), lex)
+        table = freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path, id=ident), policy), lex)
         lemma_tables.append(table)
         ranked.append(freq_mod.rank_items(table.counts))
 
@@ -193,7 +197,7 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
         "short_sources": [ident for ident, ranked in lists.items() if len(ranked) < args.k],
     }
     return inputs, {
-        "overlap.tsv": partial(freq_mod.write_tsv, freq_mod.rank_items(counts)),
+        "overlap.tsv": partial(_write_ranked, counts),
         "overlap_report.json": partial(write_json, summary),
     }
 

@@ -103,9 +103,18 @@ def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
 
 
 def rank_items(counts: Mapping[str, int]) -> RankedList:
-    """The items of ``counts`` by descending count, ties by ascending codepoint order."""
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedList(entries=tuple(ordered))
+    """The items of ``counts`` by descending count, ties by ascending codepoint order.
+
+    The items are grouped by count, the counts walked in descending order and
+    each group's items sorted as bare strings, so no per-item key is built.
+    """
+    groups: dict[int, list[str]] = {}
+    for item, n in counts.items():
+        groups.setdefault(n, []).append(item)
+    entries: list[tuple[str, int]] = []
+    for n in sorted(groups, reverse=True):
+        entries += ((item, n) for item in sorted(groups[n]))
+    return RankedList(entries=tuple(entries))
 
 
 def top_k(ranked: RankedList, k: int) -> list[str]:

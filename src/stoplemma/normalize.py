@@ -9,7 +9,6 @@ every JSON output.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import unicodedata
@@ -114,7 +113,7 @@ def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()
 
 def split_lines(text: str) -> list[str]:
     """Lines of ``text``, broken only at ``\\n``, ``\\r\\n`` and ``\\r``, unlike ``str.splitlines``."""
-    return io.StringIO(text, newline=None).read().split("\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def read_text(path: str | Path) -> str:

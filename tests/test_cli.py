@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -565,6 +566,55 @@ class TestNoPartialOutput:
         assert str(out / "provenance.json") in capsys.readouterr().err
         assert sorted(out.rglob("*")) == names
         assert tree_bytes(out) == {"words_demo.tsv": b"old"}
+
+
+class TestOneCorpusAndOneRankedTableAtATime:
+    """CPython frees an object when its last reference goes, so a weakref shows what is still alive."""
+
+    @staticmethod
+    def corpora(tmp_path):
+        argv = []
+        for i in range(3):
+            root = tmp_path / f"c{i}"
+            root.mkdir()
+            (root / "a.txt").write_text("का है घर\n" * (i + 1), encoding="utf-8")
+            argv += ["--corpus", f"c{i}={root}"]
+        return argv
+
+    @staticmethod
+    def tracking(fn, refs):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    @pytest.mark.parametrize("command", ["freq", "induce"])
+    def test_each_corpus_is_freed_before_the_next_one_loads(self, tmp_path, monkeypatch, demo_args, command):
+        sources, alive = [], []
+        load = self.tracking(corpus_mod.load_corpus, sources)
+
+        def load_corpus(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in sources))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
+        stoplist = ["--stoplist", demo_args["stoplists"][0]] if command == "induce" else []
+        assert run([command, *stoplist, *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
+        assert alive == [0, 0, 0]
+
+    def test_freq_holds_one_ranked_table_at_a_time(self, tmp_path, monkeypatch):
+        ranked, alive = [], []
+        write = freq_mod.write_tsv
+
+        def write_tsv(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in ranked))
+            write(*args, **kwargs)
+
+        monkeypatch.setattr(freq_mod, "rank_items", self.tracking(freq_mod.rank_items, ranked))
+        monkeypatch.setattr(freq_mod, "write_tsv", write_tsv)
+        assert run(["freq", *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
+        assert alive == [1] * 6
 
 
 @pytest.mark.parametrize("option, source", [

@@ -108,6 +108,14 @@ class TestRankItems:
         by_rank = [count for _, count in ranked.entries]
         assert by_rank == sorted(by_rank, reverse=True)
 
+    # Devanagari, Latin upper and lower case, ASCII digits and one non-BMP character
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(alphabet="कखगाि्AaZz09\U00011000", max_size=3),
+                           st.sampled_from([0, 1, 2]) | st.integers(min_value=2**64 + 1),
+                           max_size=200))
+    def test_ranking_equals_the_sort_key_reference_under_heavy_ties(self, counts):
+        assert rank_items(counts).entries == tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
 
 class TestTopK:
     def test_prefix_property(self):

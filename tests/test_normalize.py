@@ -1,3 +1,4 @@
+import io
 import itertools
 import re
 import unicodedata
@@ -20,6 +21,7 @@ from stoplemma.normalize import (
     normalize_text,
     read_records,
     read_text,
+    split_lines,
     tokenize,
 )
 from stoplemma.stats import load_pos_lexicon
@@ -226,6 +228,20 @@ class TestReadRecords:
         message = f"{path}:{padding + 3}: invalid UTF-8 at byte offset {len(head.encode())}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             list(read_records(path, 2))
+
+    @pytest.mark.parametrize("data", [b"a\r\n\r\xff", b"a\r\r\n\xff"], ids=["after-cr", "after-crlf"])
+    def test_a_bad_byte_right_after_a_break_is_on_the_next_line(self, tmp_path, data):
+        path = tmp_path / "r.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: invalid UTF-8 at byte offset 4") + "$"):
+            read_text(path)
+
+
+# the three breaks, five more that str.splitlines breaks at, a space and two letters
+@settings(max_examples=500)
+@given(st.text(alphabet="\r\n\x0b\x0c\x1c\x85\u2028\u2029 ab", max_size=30))
+def test_split_lines_equals_a_universal_newline_reader(text):
+    assert split_lines(text) == io.StringIO(text, newline=None).read().split("\n")
 
 
 LOADERS = {

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import json
+import os
 import re
 import subprocess
 import sys
@@ -141,3 +142,14 @@ def test_bench_layer_names_exist_in_src():
               and name.endswith("_s") and not DERIVED_LAYERS.fullmatch(name)}
     assert pinned
     assert pinned - timed == set()
+
+
+def test_bench_self_tests_pass():
+    # The bench hooks read src/ attributes and argument names, so a change
+    # that breaks one shows here rather than only in a benchmark run.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "bench"],
+        cwd=PYPROJECT.parent, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
