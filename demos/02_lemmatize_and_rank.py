@@ -12,7 +12,7 @@ from stoplemma.corpus import load_corpus
 from stoplemma.freq import count_words, lemma_table, rank_items, top_k
 from stoplemma.lemma import load_lexicon
 
-corpus = load_corpus(data_path("demo_corpus"), id="demo")
+corpus = load_corpus(data_path("demo_corpus"))
 print(f"documents: {len(corpus.documents)}")
 
 lex = load_lexicon(data_path("demo_lexicon.tsv"))

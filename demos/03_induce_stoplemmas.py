@@ -29,7 +29,7 @@ lists = [
     load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
     for i in (1, 2, 3)
 ]
-corpus = load_corpus(data_path("demo_corpus"), id="demo")
+corpus = load_corpus(data_path("demo_corpus"))
 table = lemma_table(count_words(corpus), lex)
 
 set_a = build_set_a(lists, lex, k=20)

@@ -147,11 +147,11 @@ def cmd_freq(args) -> tuple[list[str], dict]:
     outputs = {}
     for ident, path in corpora:
         # no name holds the corpus, so its documents are freed before the next one loads
-        words = freq_mod.count_words(corpus_mod.load_corpus(path, id=ident), policy)
+        words = freq_mod.count_words(corpus_mod.load_corpus(path), policy)
         lemmas = freq_mod.lemma_table(words, lex)
-        tables += [words, lemmas]
-        outputs[f"words_{ident}.tsv"] = partial(_write_ranked, words.counts)
-        outputs[f"lemmas_{ident}.tsv"] = partial(_write_ranked, lemmas.counts)
+        for kind, table in (("word", words), ("lemma", lemmas)):
+            tables.append((ident, kind, table))
+            outputs[f"{kind}s_{ident}.tsv"] = partial(_write_ranked, table.counts)
     outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
     return inputs, outputs
 
@@ -166,16 +166,15 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     lex = _load_lexicon_arg(args)
 
     lists = [induce_mod.load_stopword_list(path) for _, path in stoplists]
-    lemma_tables = []
-    ranked = []
-    for ident, path in corpora:
-        table = freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path, id=ident), policy), lex)
-        lemma_tables.append(table)
-        ranked.append(freq_mod.rank_items(table.counts))
+    lemma_counts = [
+        freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path), policy), lex).counts
+        for _, path in corpora
+    ]
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
-    set_b = induce_mod.build_set_b(ranked, k=args.k_b)
-    aggregate = induce_mod.aggregate_lemma_counts([t.counts for t in lemma_tables])
+    # each corpus is ranked only as build_set_b reads it: no more than two ranked lists are alive at a time
+    set_b = induce_mod.build_set_b(map(freq_mod.rank_items, lemma_counts), k=args.k_b)
+    aggregate = induce_mod.aggregate_lemma_counts(lemma_counts)
     final = induce_mod.build_final_list(set_a, set_b, aggregate)
     report = induce_mod.induction_report(lists, set_a, set_b, final)
     return inputs, {

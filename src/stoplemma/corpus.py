@@ -16,12 +16,7 @@ class Document:
 
 @dataclass(frozen=True)
 class CorpusSource:
-    id: str
     documents: tuple[Document, ...]
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("corpus id must be non-empty")
 
 
 def document_paths(root: str | Path) -> list[Path]:
@@ -29,7 +24,7 @@ def document_paths(root: str | Path) -> list[Path]:
     return sorted(p for p in Path(root).rglob("*.txt") if p.is_file())
 
 
-def load_corpus(root: str | Path, id: str) -> CorpusSource:
+def load_corpus(root: str | Path) -> CorpusSource:
     """Load ``document_paths(root)`` in that order; no other file under ``root`` is read."""
     root = Path(root)
     if not root.exists():
@@ -43,4 +38,4 @@ def load_corpus(root: str | Path, id: str) -> CorpusSource:
         Document(path=str(p.relative_to(root)), raw_text=read_text(p))
         for p in paths
     )
-    return CorpusSource(id=id, documents=documents)
+    return CorpusSource(documents=documents)

@@ -21,9 +21,7 @@ _SPACE = re.compile(r"\s")
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    item_kind: str  # "word" or "lemma"
     counts: dict[str, int]
-    source_id: str
 
     @property
     def total_tokens(self) -> int:
@@ -89,7 +87,7 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
 
 def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy()) -> FrequencyTable:
     merged = merge_counts(count_document_words(d, policy) for d in corpus.documents)
-    return FrequencyTable(item_kind="word", counts=dict(merged), source_id=corpus.id)
+    return FrequencyTable(counts=merged)
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
@@ -99,7 +97,7 @@ def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
     for word, n in words.counts.items():
         lemma = lookup(word, word)
         counts[lemma] = counts.get(lemma, 0) + n
-    return FrequencyTable(item_kind="lemma", counts=counts, source_id=words.source_id)
+    return FrequencyTable(counts=counts)
 
 
 def rank_items(counts: Mapping[str, int]) -> RankedList:
@@ -155,15 +153,15 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
     return RankedList(entries=tuple(counts.items()))
 
 
-def write_report(tables: Sequence[FrequencyTable], path: str | Path) -> None:
-    """Per-source summary: item kind, total tokens and unique items of each table."""
+def write_report(tables: Sequence[tuple[str, str, FrequencyTable]], path: str | Path) -> None:
+    """Per-source summary of ``(source ID, item kind, table)`` triples: total tokens and unique items."""
     report = [
         {
-            "source_id": t.source_id,
-            "item_kind": t.item_kind,
+            "source_id": source_id,
+            "item_kind": item_kind,
             "total_tokens": t.total_tokens,
             "unique_count": t.unique_count,
         }
-        for t in tables
+        for source_id, item_kind, t in tables
     ]
     write_json(report, path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .freq import RankedList, merge_counts, rank_items, top_k
 from .lemma import LemmaLexicon, gen_lemma
@@ -34,13 +34,14 @@ def build_set_a(lists: Sequence[Counter], lex: LemmaLexicon, k: int = DEFAULT_K)
     return result
 
 
-def build_set_b(ranked_lemma_lists: Sequence[RankedList], k: int = DEFAULT_K) -> set[str]:
-    """Union of each corpus's top-k most frequent lemmas."""
-    if not ranked_lemma_lists:
-        raise ValueError("need at least one ranked lemma list")
+def build_set_b(ranked_lemma_lists: Iterable[RankedList], k: int = DEFAULT_K) -> set[str]:
+    """Union of each corpus's top-k most frequent lemmas; each list may be freed once it is read."""
     result: set[str] = set()
+    ranked = None
     for ranked in ranked_lemma_lists:
         result.update(top_k(ranked, k))
+    if ranked is None:
+        raise ValueError("need at least one ranked lemma list")
     return result
 
 

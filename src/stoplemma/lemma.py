@@ -22,9 +22,6 @@ class LemmaLexicon:
     def entry_count(self) -> int:
         return len(self.entries)
 
-    def lemma_of(self, word: str) -> str:
-        return self.entries.get(word, word)
-
 
 EMPTY_LEXICON = LemmaLexicon(entries={})
 
@@ -39,7 +36,7 @@ def lemmatize_phrase(phrase: str, lex: LemmaLexicon) -> str:
     words = phrase.split()
     if not words:
         raise ValueError("cannot lemmatize an empty phrase")
-    return " ".join(lex.lemma_of(w) for w in words)
+    return " ".join(lex.entries.get(w, w) for w in words)
 
 
 def gen_lemma(words: Iterable[str], lex: LemmaLexicon) -> set[str]:

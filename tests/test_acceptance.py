@@ -63,9 +63,10 @@ def make_vocab(size):
     return vocab
 
 
-def corpus_of(texts, id):
+def corpus_of(texts, label=None):
+    """A corpus of ``texts``; ``label`` only names it where it is built, as a corpus holds no ID."""
     docs = tuple(Document(path=f"{i}.txt", raw_text=t) for i, t in enumerate(texts))
-    return CorpusSource(id=id, documents=docs)
+    return CorpusSource(documents=docs)
 
 
 def test_criterion_1_set_algebra_matches_brute_force():
@@ -228,7 +229,7 @@ def test_criterion_7_counting_laws():
                 " ".join(rng.choices(vocab, k=rng.randint(0, 300)))
                 for _ in range(rng.randint(1, 5))
             ]
-            corpus = corpus_of(texts, "t")
+            corpus = corpus_of(texts)
             lex = LemmaLexicon(entries={
                 w: rng.choice(vocab)
                 for w in rng.sample(vocab, rng.randint(0, len(vocab)))

@@ -78,7 +78,7 @@ class TestFreqCommand:
         policy = FilterPolicy(drop_symbols=False, drop_latin_words=False)
         lex = load_lexicon(demo_args["lexicon"])
         for ident, root in [("hash", corpus), ("demo", data_path("demo_corpus"))]:
-            words = count_words(load_corpus(root, id=ident), policy)
+            words = count_words(load_corpus(root), policy)
             assert read_ranked_tsv(out / f"words_{ident}.tsv") == rank_items(words.counts)
             assert read_ranked_tsv(out / f"lemmas_{ident}.tsv") == rank_items(lemma_table(words, lex).counts)
         assert "#\t4" in (out / "words_hash.tsv").read_text(encoding="utf-8").splitlines()
@@ -119,7 +119,7 @@ class TestInduceCommand:
             load_stopword_list(data_path("demo_stoplists", f"list{i}.txt"))
             for i in (1, 2, 3)
         ]
-        table = lemma_table(count_words(load_corpus(data_path("demo_corpus"), id="demo")), lex)
+        table = lemma_table(count_words(load_corpus(data_path("demo_corpus"))), lex)
         set_a = build_set_a(lists, lex, k=20)
         set_b = build_set_b([rank_items(table.counts)], k=20)
         expected = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))
@@ -615,6 +615,21 @@ class TestOneCorpusAndOneRankedTableAtATime:
         monkeypatch.setattr(freq_mod, "write_tsv", write_tsv)
         assert run(["freq", *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
         assert alive == [1] * 6
+
+    def test_induce_ranks_each_corpus_while_at_most_one_earlier_list_is_alive(self, tmp_path, monkeypatch,
+                                                                              demo_args):
+        ranked, alive = [], []
+        rank = self.tracking(freq_mod.rank_items, ranked)
+
+        def rank_items(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in ranked))
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(freq_mod, "rank_items", rank_items)
+        assert run(["induce", "--stoplist", demo_args["stoplists"][0], *self.corpora(tmp_path),
+                    "--out", tmp_path / "out"]) == 0
+        # the list build_set_b read last is still its loop variable; none before it is alive
+        assert alive == [0, 1, 1]
 
 
 @pytest.mark.parametrize("option, source", [

@@ -12,7 +12,7 @@ def make_corpus(tmp_path, files):
 class TestLoadCorpus:
     def test_documents_in_lexicographic_order(self, tmp_path):
         make_corpus(tmp_path, {"b.txt": "दो", "a.txt": "एक"})
-        corpus = load_corpus(tmp_path, id="t")
+        corpus = load_corpus(tmp_path)
         assert [d.path for d in corpus.documents] == ["a.txt", "b.txt"]
 
     def test_invalid_utf8_names_file_and_offset(self, tmp_path):
@@ -22,26 +22,26 @@ class TestLoadCorpus:
             (tmp_path / name).mkdir()
             (tmp_path / name / "a.txt").write_bytes(data)
             with pytest.raises(ValueError, match=r"a\.txt:1: invalid UTF-8 at byte offset 6$"):
-                load_corpus(tmp_path / name, id="t")
+                load_corpus(tmp_path / name)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
-            load_corpus(tmp_path / "nope", id="t")
+            load_corpus(tmp_path / "nope")
 
     def test_path_naming_a_file(self, tmp_path):
         make_corpus(tmp_path, {"a.txt": "क"})
         with pytest.raises(ValueError, match=r"corpus path is not a directory: .*a\.txt$"):
-            load_corpus(tmp_path / "a.txt", id="t")
+            load_corpus(tmp_path / "a.txt")
 
     def test_zero_documents(self, tmp_path):
         with pytest.raises(ValueError, match="no .txt files"):
-            load_corpus(tmp_path, id="t")
+            load_corpus(tmp_path)
 
     def test_bom_stripped(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"\xef\xbb\xbf" + "घर".encode())
-        corpus = load_corpus(tmp_path, id="t")
+        corpus = load_corpus(tmp_path)
         assert corpus.documents[0].raw_text == "घर"
 
     def test_loading_is_deterministic(self, tmp_path):
         make_corpus(tmp_path, {"a.txt": "एक", "b.txt": "दो"})
-        assert load_corpus(tmp_path, id="t") == load_corpus(tmp_path, id="t")
+        assert load_corpus(tmp_path) == load_corpus(tmp_path)

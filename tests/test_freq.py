@@ -24,9 +24,9 @@ from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tok
 VOCAB = ["घर", "गया", "जा", "का", "है", "राम", "नदी", "पेड़"]
 
 
-def corpus_of(*texts, id="t"):
+def corpus_of(*texts):
     docs = tuple(Document(path=f"{i}.txt", raw_text=t) for i, t in enumerate(texts))
-    return CorpusSource(id=id, documents=docs)
+    return CorpusSource(documents=docs)
 
 
 def random_corpus(rng, max_docs=5, max_tokens=200):

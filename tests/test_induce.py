@@ -14,7 +14,7 @@ from stoplemma.induce import (
     load_stopword_list,
     write_stoplemma_list,
 )
-from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon
+from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon, lemmatize_phrase
 
 
 def write_list(tmp_path, name, lines):
@@ -73,7 +73,7 @@ class TestBuildSetA:
         # brute force: union of per-list lemma images
         expected = set()
         for sl in lists:
-            expected |= {lex.lemma_of(w) for w in sl}
+            expected |= {lemmatize_phrase(w, lex) for w in sl}
         result = build_set_a(lists, lex, k=100)
         assert result == expected == {"जा", "कर", "का", "है", "घर", "राम"}
 
@@ -104,6 +104,16 @@ class TestBuildSetB:
         ]
         for k in range(1, 15):
             assert build_set_b(lists, k) <= build_set_b(lists, k + 1)
+
+    def test_an_iterator_gives_what_its_list_gives(self):
+        lists = [ranked_from({"का": 2, "है": 1}), ranked_from({"घर": 4, "है": 3})]
+        for k in (1, 2, 3):
+            assert build_set_b(iter(lists), k) == build_set_b(lists, k)
+
+    @pytest.mark.parametrize("lists", [[], iter([])], ids=["list", "iterator"])
+    def test_no_ranked_list_is_an_error(self, lists):
+        with pytest.raises(ValueError, match="at least one ranked lemma list"):
+            build_set_b(lists)
 
 
 class TestBuildFinalList:

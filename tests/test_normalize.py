@@ -245,7 +245,7 @@ def test_split_lines_equals_a_universal_newline_reader(text):
 
 
 LOADERS = {
-    "load_corpus": lambda path: load_corpus(path.parent, id="c"),
+    "load_corpus": lambda path: load_corpus(path.parent),
     "load_lexicon": load_lexicon,
     "load_stopword_list": load_stopword_list,
     "load_mapping": load_mapping,

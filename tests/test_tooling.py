@@ -1,15 +1,20 @@
 import ast
 import builtins
+import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src" / "stoplemma"
 BENCHMARK = PYPROJECT.parent / "BENCHMARK.json"
+BENCH = PYPROJECT.parent / "bench"
 
 # per-layer names that bench/run.py derives from other figures, not from one src/ function
 DERIVED_LAYERS = re.compile(r"\w+\.self_s|cli\.cpu_s|\w+\.import_s|stats\.write_s")
@@ -153,3 +158,26 @@ def test_bench_self_tests_pass():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
+@pytest.mark.parametrize("name", ["induce-zipf", "analyze-ranked"])
+def test_traced_bench_runs_of_induce_and_analyze_are_correct(name, tmp_path, monkeypatch):
+    # pytest -q bench traces only freq-longtail, so a src/ attribute that only
+    # the induce or assess hooks read (as CoverageReport.mapped_lemma_set) shows here.
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(PYPROJECT.parent)  # workload paths are relative to the checkout
+    import inproc
+    import test_bench
+
+    wl = test_bench.small(name)
+    wl.generate(random.Random(4), tmp_path)
+    argvs = wl.commands(tmp_path)
+    modules = {m: importlib.import_module(f"stoplemma.{m}") for m in inproc.MODULES}
+    tracer = inproc.Tracer(modules)
+    tracer.install()
+    try:
+        _, codes = inproc.run_pass(modules["cli"], argvs, tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(argvs)
+    assert wl.check(tmp_path) == []
