@@ -36,5 +36,6 @@ for summary in analysis["summaries"]:
         print(f"  {summary['group']:12} mean r = {summary['mean_r']:+.3f}")
 
 # A strong negative r would mean the group concentrates at the best
-# ranks; no group exceeding the threshold keeps the null standing.
-print("reject POS-dominance hypothesis:", reject_pos_hypothesis(analysis))
+# ranks; no group exceeding the threshold (0.5, as `posstats --threshold`
+# gives by default) keeps the null standing.
+print("reject POS-dominance hypothesis:", reject_pos_hypothesis(analysis, threshold=0.5))

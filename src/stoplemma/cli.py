@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -87,15 +88,6 @@ def _id_paths(specs: list[str], label: str) -> list[tuple[str, str]]:
     return list(pairs.items())
 
 
-def _existing(*paths: str | None) -> list[str]:
-    """The given input paths, leaving out unset optional ones; all must exist."""
-    inputs = [p for p in paths if p]
-    missing = [p for p in inputs if not Path(p).exists()]
-    if missing:
-        raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
-    return inputs
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with path.open("rb") as fh:
@@ -115,12 +107,7 @@ def _hash_tree(path: Path) -> str:
 
 
 def _policy_from_args(args) -> FilterPolicy:
-    return FilterPolicy(
-        drop_symbols=not args.keep_symbols,
-        drop_latin_words=not args.keep_latin_words,
-        drop_latin_numbers=not args.keep_latin_numbers,
-        drop_devanagari_digits=args.drop_devanagari_digits,
-    )
+    return FilterPolicy(**{f.name: getattr(args, f.name) for f in fields(FilterPolicy)})
 
 
 def _load_lexicon_arg(args) -> lemma_mod.LemmaLexicon:
@@ -134,18 +121,17 @@ def _write_ranked(counts: dict[str, int], path: Path) -> None:
     freq_mod.write_tsv(freq_mod.rank_items(counts), path)
 
 
-# Each cmd_* checks its inputs and computes; it returns the input paths and
-# a writer per output file name.  main() adds the provenance and writes them.
+# Each cmd_* gets every ID=PATH option as (ID, PATH) pairs and every input
+# path checked; it computes and returns a writer per output file name.
+# main() adds the provenance and writes them.
 
-def cmd_freq(args) -> tuple[list[str], dict]:
-    corpora = _id_paths(args.corpus, "--corpus")
-    inputs = _existing(*(path for _, path in corpora), args.lexicon)
+def cmd_freq(args) -> dict:
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
     tables = []
     outputs = {}
-    for ident, path in corpora:
+    for ident, path in args.corpus:
         # no name holds the corpus, so its documents are freed before the next one loads
         words = freq_mod.count_words(corpus_mod.load_corpus(path), policy)
         lemmas = freq_mod.lemma_table(words, lex)
@@ -153,22 +139,19 @@ def cmd_freq(args) -> tuple[list[str], dict]:
             tables.append((ident, kind, table))
             outputs[f"{kind}s_{ident}.tsv"] = partial(_write_ranked, table.counts)
     outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
-    return inputs, outputs
+    return outputs
 
 
-def cmd_induce(args) -> tuple[list[str], dict]:
-    stoplists = _id_paths(args.stoplist, "--stoplist")
-    corpora = _id_paths(args.corpus, "--corpus")
-    inputs = _existing(*(p for _, p in stoplists + corpora), args.lexicon)
-    if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in corpora):
+def cmd_induce(args) -> dict:
+    if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in args.corpus):
         raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
-    lists = [induce_mod.load_stopword_list(path) for _, path in stoplists]
+    lists = [induce_mod.load_stopword_list(path) for _, path in args.stoplist]
     lemma_counts = [
         freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path), policy), lex).counts
-        for _, path in corpora
+        for _, path in args.corpus
     ]
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
@@ -177,16 +160,14 @@ def cmd_induce(args) -> tuple[list[str], dict]:
     aggregate = induce_mod.aggregate_lemma_counts(lemma_counts)
     final = induce_mod.build_final_list(set_a, set_b, aggregate)
     report = induce_mod.induction_report(lists, set_a, set_b, final)
-    return inputs, {
+    return {
         "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
         "induction_report.json": partial(write_json, report),
     }
 
 
-def cmd_overlap(args) -> tuple[list[str], dict]:
-    ranked_specs = _id_paths(args.ranked, "--ranked")
-    inputs = _existing(*(p for _, p in ranked_specs))
-    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
+def cmd_overlap(args) -> dict:
+    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
     counts = stats_mod.top_k_overlap(lists, k=args.k)
     summary = {
         "k": args.k,
@@ -195,39 +176,36 @@ def cmd_overlap(args) -> tuple[list[str], dict]:
         "max_count": max(counts.values(), default=0),
         "short_sources": [ident for ident, ranked in lists.items() if len(ranked) < args.k],
     }
-    return inputs, {
+    return {
         "overlap.tsv": partial(_write_ranked, counts),
         "overlap_report.json": partial(write_json, summary),
     }
 
 
-def cmd_posstats(args) -> tuple[list[str], dict]:
+def cmd_posstats(args) -> dict:
     if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
         raise ValueError(f"--threshold must be a finite number, got {args.threshold!r}")
-    ranked_specs = _id_paths(args.ranked, "--ranked")
-    inputs = _existing(*(p for _, p in ranked_specs), args.pos_lexicon)
-    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked_specs}
+    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
     tags = stats_mod.load_pos_lexicon(args.pos_lexicon)
     report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
     if all(s["mean_r"] is None for s in report["summaries"]):
         raise ComputeError("correlation undefined for every (group, source) cell")
     verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
                "threshold": args.threshold}
-    return inputs, {
+    return {
         "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
         "posstats.json": partial(write_json, report),
         "hypothesis.json": partial(write_json, verdict),
     }
 
 
-def cmd_assess(args) -> tuple[list[str], dict]:
-    inputs = _existing(args.mapping, args.list, args.lexicon)
+def cmd_assess(args) -> dict:
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_stopword_list(args.list))
     summary = assess_mod.coverage_summary(assess_mod.assess_coverage(mapping, lex, stop_lemmas))
     text = assess_mod.format_summary(summary) + "\n"
-    return inputs, {
+    return {
         "coverage.json": partial(write_json, summary),
         "coverage.txt": lambda path: path.write_text(text, encoding="utf-8"),
     }
@@ -265,7 +243,8 @@ _POLICY = (
 _RANKED = ("--ranked", IDS, REQUIRED, "item<TAB>count TSV in rank order, as freq writes it; repeatable")
 _OUT = ("--out", _path, REQUIRED, "output folder, made if missing")
 
-# subcommand: (function, help, options); an option is (flag, kind, default, help)
+# subcommand: (function, help, options); an option is (flag, kind, default, help).
+# Every IDS option and every path option but --out names inputs, checked in this order.
 COMMANDS = {
     "freq": (cmd_freq, "word/lemma frequency tables", (_CORPUS, _LEXICON, *_POLICY, _OUT)),
     "induce": (cmd_induce, "induce a stop-lemma list", (
@@ -285,9 +264,8 @@ COMMANDS = {
         _OUT)),
     "assess": (cmd_assess, "coverage of a stop-lemma list", (
         ("--mapping", _path, REQUIRED, "external<TAB>hindi TSV"),
-        _LEXICON,
         ("--list", _path, REQUIRED, "stop-lemma list, one lemma per line"),
-        _OUT)),
+        _LEXICON, _OUT)),
 }
 
 
@@ -325,37 +303,29 @@ def _config_value(flag: str, kind, key: str, value):
     raise ValueError(f"config key {key!r}: invalid value {value!r} for {flag}")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> None:
-    """No config key may repeat, also not in its other ``-``/``_`` spelling."""
-    seen: dict[str, str] = {}
-    for key, _ in pairs:
-        dest = key.replace("-", "_")
-        if dest in seen:
-            if seen[dest] == key:
-                raise ValueError(f"config key {key!r} is given more than once")
-            raise ValueError(f"config keys {seen[dest]!r} and {key!r} name the same option")
-        seen[dest] = key
-
-
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The subcommand's options: each one's flag value, else its config value, else its default."""
     options = {flag[2:].replace("-", "_"): (flag, kind, default) for flag, kind, default, _ in COMMANDS[args.command][2]}
-    config = {}
+    pairs = []  # the config's top-level key-value pairs, each repeat included
     if args.config:
-        text = read_text(args.config)
+        objects = []  # every object's pairs, innermost first, so the top-level object's come last
         try:
-            config = json.loads(text)
-            if isinstance(config, dict):  # the top-level pairs; a nested object's keys name no option
-                _unique_keys(json.loads(text, object_pairs_hook=list))
-        except (ValueError, RecursionError) as exc:  # bad JSON, a repeated key, deep nesting
+            config = json.loads(read_text(args.config),
+                                object_pairs_hook=lambda p: objects.append(p) or dict(p))
+        except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
             raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+        pairs = objects[-1]
     # every config value is checked, also one that a flag overrides; a key may serve another subcommand
     known = {flag[2:].replace("-", "_") for _, _, opts in COMMANDS.values() for flag, *_ in opts}
-    from_config = {}
-    for key, value in config.items():
+    from_config, seen = {}, {}
+    for key, value in pairs:
         dest = key.replace("-", "_")
+        if dest in seen:  # a key may be written with - or _, but only once
+            raise ValueError(f"{args.config}: config key {key!r} is given more than once" if seen[dest] == key
+                             else f"{args.config}: config keys {seen[dest]!r} and {key!r} name the same option")
+        seen[dest] = key
         if dest in options:
             flag, kind, _ = options[dest]
             from_config[dest] = _config_value(flag, kind, key, value)
@@ -382,7 +352,20 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(build_parser().parse_args(argv))
-        inputs, outputs = COMMANDS[args.command][0](args)
+        command, _, options = COMMANDS[args.command]
+        # the command gets (ID, PATH) pairs; provenance.json records the options as given
+        given, inputs = vars(args).copy(), []
+        for flag, kind, _, _ in options:
+            dest = flag[2:].replace("-", "_")
+            if kind is IDS:
+                given[dest] = _id_paths(given[dest], flag)
+                inputs += [path for _, path in given[dest]]
+            elif kind is _path and flag != "--out" and given[dest]:
+                inputs.append(given[dest])
+        missing = [p for p in inputs if not Path(p).exists()]
+        if missing:
+            raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
+        outputs = command(argparse.Namespace(**given))
         outputs["provenance.json"] = partial(write_json, {
             "command": args.command,
             "parameters": dict(sorted(vars(args).items())),

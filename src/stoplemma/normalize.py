@@ -55,18 +55,19 @@ class Token:
 
 @dataclass(frozen=True)
 class FilterPolicy:
-    drop_symbols: bool = True
-    drop_latin_words: bool = True
-    drop_latin_numbers: bool = True
+    """The token kinds that are counted; each field is the CLI switch of the same name."""
+    keep_symbols: bool = False
+    keep_latin_words: bool = False
+    keep_latin_numbers: bool = False
     drop_devanagari_digits: bool = False
 
     def keeps(self, kind: TokenKind) -> bool:
         if kind is TokenKind.SYMBOL:
-            return not self.drop_symbols
+            return self.keep_symbols
         if kind is TokenKind.LATIN_WORD:
-            return not self.drop_latin_words
+            return self.keep_latin_words
         if kind is TokenKind.LATIN_NUMBER:
-            return not self.drop_latin_numbers
+            return self.keep_latin_numbers
         if kind is TokenKind.DEVANAGARI_NUMBER:
             return not self.drop_devanagari_digits
         return True

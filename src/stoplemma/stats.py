@@ -198,7 +198,7 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
     return cells
 
 
-def reject_pos_hypothesis(report: dict, threshold: float = 0.5) -> bool:
+def reject_pos_hypothesis(report: dict, threshold: float) -> bool:
     """True when no POS group of a ``pos_rank_analysis`` report shows |mean r| above the threshold."""
     return all(
         s["mean_r"] is None or abs(s["mean_r"]) <= threshold

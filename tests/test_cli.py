@@ -75,7 +75,7 @@ class TestFreqCommand:
         assert run(["freq", "--corpus", f"hash={corpus}", "--corpus", demo_args["corpus"],
                     "--lexicon", demo_args["lexicon"], "--keep-symbols",
                     "--keep-latin-words", "--out", out]) == 0
-        policy = FilterPolicy(drop_symbols=False, drop_latin_words=False)
+        policy = FilterPolicy(keep_symbols=True, keep_latin_words=True)
         lex = load_lexicon(demo_args["lexicon"])
         for ident, root in [("hash", corpus), ("demo", data_path("demo_corpus"))]:
             words = count_words(load_corpus(root), policy)
@@ -996,3 +996,36 @@ def test_help_documents_every_option(capsys, command):
     for flag, *_ in COMMANDS[command][2]:
         # the flag, its metavar if any, then help on the same line or the next
         assert re.search(rf"^  {re.escape(flag)}(?: [A-Z_=]+)?\s{{2,}}[^-\s]", text, re.M), flag
+
+
+def _input_paths(flag, kind, value):
+    """The input paths an option names: each PATH of an ID=PATH option, or a path option's value."""
+    if kind is IDS:
+        return [spec.partition("=")[2] for spec in value]
+    # every other str value in OPTION_VALUES is a path; --out is the one that names no input
+    return [value] if isinstance(value, str) and flag != "--out" else []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_provenance_hashes_every_input_path(tmp_path, monkeypatch, command):
+    options = COMMANDS[command][2]
+    monkeypatch.chdir(tmp_path)
+    argv = [a for flag, kind, _, _ in options for a in _as_flag(flag, kind, OPTION_VALUES[flag])]
+    assert run([command, *argv]) == 0
+    expected = {p for flag, kind, _, _ in options for p in _input_paths(flag, kind, OPTION_VALUES[flag])}
+    assert set(json.loads((tmp_path / "out" / "provenance.json").read_text())["inputs"]) == expected
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, (_, _, options) in COMMANDS.items() for option in options
+    if _input_paths(*option[:2], OPTION_VALUES[option[0]])
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_missing_input_path_exits_1_naming_it(tmp_path, capsys, monkeypatch, command, option):
+    flag, kind, _, _ = option
+    missing = str(tmp_path / "missing")
+    required = [a for f, k, d, _ in COMMANDS[command][2] if d is REQUIRED and f != flag
+                for a in _as_flag(f, k, OPTION_VALUES[f])]
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *required, *_as_flag(flag, kind, [f"x={missing}"] if kind is IDS else missing)]) == 1
+    assert f"input path(s) not found: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

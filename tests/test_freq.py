@@ -178,7 +178,7 @@ def test_ranked_tsv_out_of_rank_order_rejected(tmp_path, rows):
 
 def test_policy_flags_respected():
     text = "घर abc 45 १२ ।"
-    table = count_words(corpus_of(text), FilterPolicy(drop_latin_words=False))
+    table = count_words(corpus_of(text), FilterPolicy(keep_latin_words=True))
     assert set(table.counts) == {"घर", "abc", "१२"}
     table = count_words(corpus_of(text), FilterPolicy(drop_devanagari_digits=True))
     assert set(table.counts) == {"घर"}
@@ -200,6 +200,7 @@ COUNTING_ALPHABET = (
 )
 
 
+# whether to drop symbols, Latin words, Latin numbers and Devanagari digits (S, W, N, D)
 POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
 
 
@@ -213,7 +214,9 @@ POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
 @example(raw="घर \u2000\u3000\t\u0085  \u0301a, है")
 @example(raw="क\u093cि।१2#a\u0301,घर" * 4)
 def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raw):
-    policy = FilterPolicy(*flags)
+    symbols, latin_words, latin_numbers, devanagari_digits = flags
+    policy = FilterPolicy(keep_symbols=not symbols, keep_latin_words=not latin_words,
+                          keep_latin_numbers=not latin_numbers, drop_devanagari_digits=devanagari_digits)
     expected = Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_CHUNK_CHARS", chunk_chars)
@@ -241,7 +244,7 @@ def test_chunking_never_cuts_a_run(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=80))
 def test_written_tsv_reads_back_with_every_kind_kept(tmp_path_factory, raw):
-    keep_all = FilterPolicy(False, False, False, False)
+    keep_all = FilterPolicy(keep_symbols=True, keep_latin_words=True, keep_latin_numbers=True)
     table = count_words(corpus_of(raw, "# #, a"), keep_all)
     path = tmp_path_factory.mktemp("tsv") / "words.tsv"
     write_tsv(rank_items(table.counts), path)

@@ -159,7 +159,8 @@ class TestPlainWord:
 
     @pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=4)))
     def test_every_policy_keeps_devanagari_words(self, flags):
-        assert FilterPolicy(*flags).keeps(TokenKind.DEVANAGARI_WORD)
+        names = ("keep_symbols", "keep_latin_words", "keep_latin_numbers", "drop_devanagari_digits")
+        assert FilterPolicy(**dict(zip(names, flags))).keeps(TokenKind.DEVANAGARI_WORD)
 
 
 @given(st.text(alphabet=PLAIN_CLASS, min_size=1, max_size=12))

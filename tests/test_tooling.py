@@ -134,6 +134,14 @@ def test_no_unused_import_in_src():
     assert unused == set()
 
 
+def test_readme_names_every_cli_flag():
+    from stoplemma.cli import COMMANDS
+
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    flags = {flag for _, _, options in COMMANDS.values() for flag, *_ in options}
+    assert {flag for flag in flags if not re.search(rf"{flag}(?![\w-])", readme)} == set()
+
+
 def test_bench_layer_names_exist_in_src():
     # A traced bench run times each M.F_s layer around the function F of
     # module M; if F is gone the run fails with "metrics not measured".
