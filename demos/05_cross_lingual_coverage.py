@@ -8,7 +8,7 @@ translations, and measures how many of the resulting lemmas the bundled
 """
 
 from stoplemma import data_path
-from stoplemma.assess import assess_coverage, coverage_summary, format_summary, load_mapping
+from stoplemma.assess import coverage_summary, format_summary, load_mapping
 from stoplemma.induce import load_stopword_list
 from stoplemma.lemma import load_lexicon
 
@@ -16,6 +16,6 @@ mapping = load_mapping(data_path("english_hindi_mapping.tsv"))
 lex = load_lexicon(data_path("demo_lexicon.tsv"))
 stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")))
 
-summary = coverage_summary(assess_coverage(mapping, lex, stop))
+summary = coverage_summary(mapping, lex, stop)
 print(format_summary(summary))
 print("missing lemmas:", summary["misses"])

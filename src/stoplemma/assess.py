@@ -19,8 +19,6 @@ UNTRANSLATABLE_MARK = "!"
 
 @dataclass(frozen=True)
 class CoverageReport:
-    external_total: int
-    untranslatable_count: int
     mapped_lemma_set: frozenset[str]
     hits: frozenset[str]
 
@@ -45,26 +43,23 @@ def assess_coverage(
     lex: LemmaLexicon,
     stop_lemmas: set[str],
 ) -> CoverageReport:
-    """Lemmatize every mapped Hindi form and measure membership in the list.
-
-    Untranslatable externals are excluded from the denominator.
-    """
+    """Lemmatize every mapped Hindi form and measure membership in the list."""
     mapped = gen_lemma((form for forms in mapping.values() for form in forms), lex)
     return CoverageReport(
-        external_total=len(mapping),
-        untranslatable_count=list(mapping.values()).count(()),
         mapped_lemma_set=frozenset(mapped),
         hits=frozenset(l for l in mapped if l in stop_lemmas),
     )
 
 
-def coverage_summary(report: CoverageReport) -> dict:
-    """The ``coverage.json`` summary; the ratio is None when no lemma is mapped."""
+def coverage_summary(mapping: Mapping[str, tuple[str, ...]], lex: LemmaLexicon,
+                     stop_lemmas: set[str]) -> dict:
+    """The ``coverage.json`` summary; the ratio, over mapped lemmas only, is None when there are none."""
+    report = assess_coverage(mapping, lex, stop_lemmas)
     mapped, hits = len(report.mapped_lemma_set), len(report.hits)
     misses = sorted(report.mapped_lemma_set - report.hits)
     return {
-        "external_total": report.external_total,
-        "untranslatable_count": report.untranslatable_count,
+        "external_total": len(mapping),
+        "untranslatable_count": list(mapping.values()).count(()),
         "mapped_lemma_count": mapped,
         "hit_count": hits,
         "miss_count": len(misses),

@@ -203,7 +203,7 @@ def cmd_assess(args) -> dict:
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_stopword_list(args.list))
-    summary = assess_mod.coverage_summary(assess_mod.assess_coverage(mapping, lex, stop_lemmas))
+    summary = assess_mod.coverage_summary(mapping, lex, stop_lemmas)
     text = assess_mod.format_summary(summary) + "\n"
     return {
         "coverage.json": partial(write_json, summary),
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(flag: str, kind, key: str, value):
+def _config_value(flag: str, kind, config: str, key: str, value):
     """Convert a config value as the parser converts the same option's flag."""
     if kind is SWITCH:
         if isinstance(value, bool):
@@ -300,7 +300,7 @@ def _config_value(flag: str, kind, key: str, value):
             return kind(str(value))
         except (ValueError, argparse.ArgumentTypeError):
             pass
-    raise ValueError(f"config key {key!r}: invalid value {value!r} for {flag}")
+    raise ValueError(f"{config}: config key {key!r}: invalid value {value!r} for {flag}")
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -328,7 +328,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         seen[dest] = key
         if dest in options:
             flag, kind, _ = options[dest]
-            from_config[dest] = _config_value(flag, kind, key, value)
+            from_config[dest] = _config_value(flag, kind, args.config, key, value)
         elif dest not in known:
             raise ValueError(f"{args.config}: config key {key!r} is not an option of any subcommand")
     values = {"command": args.command}

@@ -87,7 +87,8 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
 
 def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy()) -> FrequencyTable:
     merged = merge_counts(count_document_words(d, policy) for d in corpus.documents)
-    return FrequencyTable(counts=merged)
+    # copied into a plain dict: bench/run.py reads a lower peak RSS for freq (cause not found)
+    return FrequencyTable(counts=dict(merged))
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:

@@ -30,7 +30,8 @@ def build_set_a(lists: Sequence[Counter], lex: LemmaLexicon, k: int = DEFAULT_K)
         raise ValueError(f"k must be >= 1, got {k}")
     result: set[str] = set()
     for entries in lists:
-        result |= gen_lemma(islice(entries, k), lex)
+        # islice takes no stop above sys.maxsize, and k may be larger
+        result |= gen_lemma(islice(entries, min(k, len(entries))), lex)
     return result
 
 

@@ -1,10 +1,10 @@
 """Text normalization and tokenization for Devanagari corpora.
 
-All downstream counting and lexicon lookup assumes NFC-normalized text, so
-normalization happens once, up front, and everything else operates on its
-output.  Every input file is decoded here, as UTF-8 less a leading BOM, by
-``read_text``, and split into lines by ``split_lines``; ``write_json`` writes
-every JSON output.
+Counting and lexicon lookup assume NFC text: ``read_records`` normalizes each
+line of a record file, ``freq.count_document_words`` each distinct corpus
+token that ``PLAIN_WORD`` (already NFC) does not match.  Every input file is
+decoded here, as UTF-8 less a leading BOM, by ``read_text``, and split into
+lines by ``split_lines``; ``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations

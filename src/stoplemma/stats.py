@@ -56,19 +56,10 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
         raise ValueError(f"need at least 3 observations, got {n}")
     if any(m not in (0, 1) for m in membership):
         raise ValueError("membership values must be 0 or 1")
-    n1 = sum(membership)
-    n0 = _non_members(n, n1)
     var = _population_variance(ranks)
-    m1 = sum(x for m, x in zip(membership, ranks) if m == 1) / n1
-    m0 = sum(x for m, x in zip(membership, ranks) if m == 0) / n0
-    return _r_and_p(n, n1, n0, m1, m0, var)
-
-
-def _non_members(n: int, n1: int) -> int:
-    """n0 = n - n1; r is undefined unless both groups have members."""
-    if n1 == 0 or n1 == n:
-        raise UndefinedCorrelationError("membership is constant")
-    return n - n1
+    s1 = sum(x for m, x in zip(membership, ranks) if m == 1)
+    s0 = sum(x for m, x in zip(membership, ranks) if m == 0)
+    return _r_and_p(n, sum(membership), s1, s0, var)
 
 
 def _mean_and_ss(values: Sequence[float]) -> tuple[float, float]:
@@ -84,11 +75,14 @@ def _population_variance(values: Sequence[float]) -> float:
     return var
 
 
-def _r_and_p(n: int, n1: int, n0: int, m1: float, m0: float, var: float) -> tuple[float, float]:
-    """point_biserial's r and p from the group sizes, group means and population variance."""
+def _r_and_p(n: int, n1: int, s1: float, s0: float, var: Optional[float]) -> tuple[float, float]:
+    """point_biserial's r and p from the member count, both groups' sums and the population variance."""
+    n0 = n - n1
+    if n1 == 0 or n0 == 0:
+        raise UndefinedCorrelationError("membership is constant")
     if var == 0:  # distinct ranks vary, so only counts can be all equal
         raise UndefinedCorrelationError("counts have zero variance")
-    r = ((m1 - m0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
+    r = ((s1 / n1 - s0 / n0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
@@ -189,8 +183,7 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
     for g, group in enumerate(DEFAULT_GROUPS):
         n1, n0 = sizes[g], n - sizes[g]
         try:
-            _non_members(n, n1)
-            r, p = _r_and_p(n, n1, n0, sums[g] / n1, (total - sums[g]) / n0, var)
+            r, p = _r_and_p(n, n1, sums[g], total - sums[g], var)
         except UndefinedCorrelationError as exc:
             cells.append(_cell(group, sid, n1, n0, error=str(exc)))
         else:

@@ -31,7 +31,7 @@ from stoplemma.induce import (
     build_set_b,
     load_stopword_list,
 )
-from stoplemma.assess import assess_coverage, coverage_summary, load_mapping
+from stoplemma.assess import coverage_summary, load_mapping
 from stoplemma.lemma import LemmaLexicon, load_lexicon
 from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tokenize
 from stoplemma.stats import UndefinedCorrelationError, point_biserial, top_k_overlap
@@ -179,13 +179,13 @@ def test_criterion_5_coverage_replay():
         mapping = load_mapping(data_path("english_hindi_mapping.tsv"))
         lex = load_lexicon(data_path("demo_lexicon.tsv"))
         stop = set(load_stopword_list(data_path("table5_stoplemmas.txt")))
-        summary = coverage_summary(assess_coverage(mapping, lex, stop))
+        summary = coverage_summary(mapping, lex, stop)
         assert summary["mapped_lemma_count"] == 74
         assert summary["misses"] == ["जरूर"]
         assert summary["coverage_ratio"] == pytest.approx(73 / 74)
 
         identity = {l: (l,) for l in stop}
-        assert coverage_summary(assess_coverage(identity, lex, stop))["coverage_ratio"] == 1.0
+        assert coverage_summary(identity, lex, stop)["coverage_ratio"] == 1.0
 
 
 def test_criterion_6_normalization_and_filtering():

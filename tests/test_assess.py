@@ -24,8 +24,8 @@ class TestLoadMapping:
     def test_untranslatable(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "being\t!\n"))
         assert mapping == {"being": ()}
-        report = assess_coverage(mapping, EMPTY_LEXICON, set())
-        assert (report.external_total, report.untranslatable_count) == (1, 1)
+        summary = coverage_summary(mapping, EMPTY_LEXICON, set())
+        assert (summary["external_total"], summary["untranslatable_count"]) == (1, 1)
 
     def test_multi_target(self, tmp_path):
         mapping = load_mapping(write_mapping(tmp_path, "the\tवह,यह\n"))
@@ -49,12 +49,12 @@ class TestAssessCoverage:
         mapping = {"a": ("का",), "b": ("है",), "c": ("घर",)}
         report = assess_coverage(mapping, EMPTY_LEXICON, {"का", "है"})
         assert report.hits == {"का", "है"}
-        summary = coverage_summary(report)
+        summary = coverage_summary(mapping, EMPTY_LEXICON, {"का", "है"})
         assert summary["misses"] == ["घर"]
         assert summary["coverage_ratio"] == pytest.approx(2 / 3)
 
     def test_empty_mapping(self):
-        summary = coverage_summary(assess_coverage({}, EMPTY_LEXICON, {"का"}))
+        summary = coverage_summary({}, EMPTY_LEXICON, {"का"})
         assert summary["coverage_ratio"] is None
         assert summary["external_total"] == 0
         assert format_summary(summary).endswith("coverage: undefined")
@@ -68,19 +68,19 @@ class TestAssessCoverage:
     def test_self_coverage_is_one(self):
         lemmas = {"का", "है", "घर"}
         mapping = {l: (l,) for l in lemmas}
-        assert coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, lemmas))["coverage_ratio"] == 1.0
+        assert coverage_summary(mapping, EMPTY_LEXICON, lemmas)["coverage_ratio"] == 1.0
 
     def test_adding_lemma_never_decreases_coverage(self):
         mapping = {"a": ("का",), "b": ("घर",)}
-        small = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का"}))
-        large = coverage_summary(assess_coverage(mapping, EMPTY_LEXICON, {"का", "घर"}))
+        small = coverage_summary(mapping, EMPTY_LEXICON, {"का"})
+        large = coverage_summary(mapping, EMPTY_LEXICON, {"का", "घर"})
         assert large["coverage_ratio"] >= small["coverage_ratio"]
 
     def test_misses_are_set_difference(self):
         mapping = {"a": ("का", "घर"), "b": ("है",)}
         stop = {"का"}
         report = assess_coverage(mapping, EMPTY_LEXICON, stop)
-        misses = set(coverage_summary(report)["misses"])
+        misses = set(coverage_summary(mapping, EMPTY_LEXICON, stop)["misses"])
         assert misses == report.mapped_lemma_set - stop
         assert report.hits | misses == report.mapped_lemma_set
         assert not report.hits & misses
@@ -91,7 +91,7 @@ class TestBundledMappingFixture:
         mapping = load_mapping(data_dir / "english_hindi_mapping.tsv")
         lex = load_lexicon(demo_lexicon_path)
         stop = set(load_stopword_list(table5_path))
-        summary = coverage_summary(assess_coverage(mapping, lex, stop))
+        summary = coverage_summary(mapping, lex, stop)
         assert summary["external_total"] == 179
         assert summary["untranslatable_count"] == 3
         assert summary["mapped_lemma_count"] == 74

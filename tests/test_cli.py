@@ -418,7 +418,7 @@ class TestConfigFile:
         flags.pop(key, None)
         argv = [a for name, values in flags.items() for v in values for a in ("--" + name, v)]
         assert run(["--config", config, "posstats", *argv]) == 1
-        assert repr(key) in capsys.readouterr().err
+        assert f"{config}: config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_a_key_of_no_subcommand_exits_1(self, tmp_path, capsys, demo_args):
@@ -556,6 +556,25 @@ class TestNoPartialOutput:
         assert tree["keep.txt"] == b"keep"
         assert tree["words_demo.tsv"] != b"stale"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_an_out_under_missing_folders(self, tmp_path, monkeypatch, demo_args):
+        (tmp_path / "keep.txt").write_text("keep", encoding="utf-8")
+        out = tmp_path / "a" / "b" / "out"
+        argv = ["freq", "--corpus", demo_args["corpus"], "--out", out]
+
+        def full_disk(tables, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        # the staging folder is made in tmp_path, the nearest existing ancestor, and removed
+        monkeypatch.setattr(freq_mod, "write_report", full_disk)
+        assert run(argv) == 1
+        assert list(tmp_path.rglob("*")) == [tmp_path / "keep.txt"]
+        assert tree_bytes(tmp_path) == {"keep.txt": b"keep"}
+        monkeypatch.undo()
+        assert run(argv) == 0
+        assert (out / "freq_report.json").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "keep.txt"]
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["b"]
 
     def test_a_folder_under_an_output_name_changes_no_out(self, tmp_path, capsys, demo_args):
         out = tmp_path / "out"
@@ -867,6 +886,25 @@ def test_induce_count_below_one_exits_1_naming_the_flag(tmp_path, monkeypatch, c
     assert run(argv) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_count_above_sys_maxsize_runs(tmp_path, demo_args):
+    huge = str(sys.maxsize + 1)
+    ranked = [a for s in demo_args["ranked"] for a in ("--ranked", s)]
+    induce = ["induce", *[a for s in demo_args["stoplists"] for a in ("--stoplist", s)],
+              "--corpus", demo_args["corpus"], "--lexicon", demo_args["lexicon"]]
+    runs = {
+        "k-a": [*induce, "--k-a", huge],
+        "k-a-1000000": [*induce, "--k-a", "1000000"],
+        "k-b": [*induce, "--k-b", huge],
+        "k": ["overlap", *ranked, "--k", huge],
+        "depth": ["posstats", *ranked, "--pos-lexicon", data_path("demo_pos_lexicon.tsv"),
+                  "--depth", huge],
+    }
+    for name, argv in runs.items():
+        assert run([*argv, "--out", tmp_path / name]) == 0, name
+    for name in ("stoplemmas.txt", "induction_report.json"):
+        assert (tmp_path / "k-a" / name).read_bytes() == (tmp_path / "k-a-1000000" / name).read_bytes()
 
 
 @pytest.mark.parametrize("inner", ["out", ".", "docs/../out"])

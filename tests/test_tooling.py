@@ -142,6 +142,38 @@ def test_readme_names_every_cli_flag():
     assert {flag for flag in flags if not re.search(rf"{flag}(?![\w-])", readme)} == set()
 
 
+def test_readme_names_every_output(tmp_path):
+    from stoplemma import data_path
+    from stoplemma.cli import main
+
+    # the corpus ID is ID, as README writes it in the names of freq's files
+    corpus, lexicon = f"ID={data_path('demo_corpus')}", str(data_path("demo_lexicon.tsv"))
+    stoplists = [a for i in (1, 2, 3)
+                 for a in ("--stoplist", f"l{i}={data_path('demo_stoplists', f'list{i}.txt')}")]
+    ranked = [a for p in sorted(data_path("table3_top10").glob("*.tsv")) for a in ("--ranked", f"{p.stem}={p}")]
+    runs = {
+        "freq": ["--corpus", corpus, "--lexicon", lexicon],
+        "induce": [*stoplists, "--corpus", corpus, "--lexicon", lexicon],
+        "overlap": ranked,
+        "posstats": [*ranked, "--pos-lexicon", str(data_path("demo_pos_lexicon.tsv"))],
+        "assess": ["--mapping", str(data_path("english_hindi_mapping.tsv")), "--lexicon", lexicon,
+                   "--list", str(data_path("table5_stoplemmas.txt"))],
+    }
+    for command, argv in runs.items():
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 0, command
+    names, keys = set(), set()
+    for path in tmp_path.glob("*/*"):  # each output file, in its subcommand's --out
+        names.add(path.name)
+        if path.suffix == ".json":
+            data = json.loads(path.read_text(encoding="utf-8"))
+            # freq_report.json is a list of rows; posstats.json nests its cells and summaries
+            rows = data if isinstance(data, list) else [data, *data.get("cells", []), *data.get("summaries", [])]
+            keys |= {key for row in rows for key in row}
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    outputs = readme.split("\n### Outputs\n", 1)[1].split("\n## ", 1)[0]
+    assert {name for name in names | keys if f"`{name}`" not in outputs} == set()
+
+
 def test_bench_layer_names_exist_in_src():
     # A traced bench run times each M.F_s layer around the function F of
     # module M; if F is gone the run fails with "metrics not measured".
