@@ -19,8 +19,10 @@ import math
 import os
 import sys
 import tempfile
+import threading
 from dataclasses import fields
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 from . import assess as assess_mod
@@ -142,6 +144,15 @@ def cmd_freq(args) -> dict:
     return outputs
 
 
+def _corpus_lemma_counts(path: str, policy: FilterPolicy, lex: lemma_mod.LemmaLexicon) -> dict[str, int]:
+    """One corpus's lemma counts, as an ``induce`` worker process counts them.
+
+    Private, because bench/inproc.py wraps every public function in a closure,
+    and a closure cannot be pickled to a worker.
+    """
+    return freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path), policy), lex).counts
+
+
 def cmd_induce(args) -> dict:
     if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in args.corpus):
         raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
@@ -149,10 +160,27 @@ def cmd_induce(args) -> dict:
     lex = _load_lexicon_arg(args)
 
     lists = [induce_mod.load_stopword_list(path) for _, path in args.stoplist]
-    lemma_counts = [
-        freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path), policy), lex).counts
-        for _, path in args.corpus
-    ]
+    # one worker process per corpus, up to the usable CPUs; map keeps the corpora's order.
+    # Workers are forked, so they start with the modules loaded, but fork copies only the
+    # calling thread: a process that runs other threads counts its corpora itself.
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    workers = min(len(args.corpus), cpus) if threading.active_count() == 1 else 1
+    tasks = ([path for _, path in args.corpus], repeat(policy), repeat(lex))
+    if workers == 1:
+        lemma_counts = list(map(_corpus_lemma_counts, *tasks))
+    else:
+        # imported here, so that no other subcommand's start-up pays for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            lemma_counts = list(pool.map(_corpus_lemma_counts, *tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)  # after an error, no pending corpus is counted
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
     # each corpus is ranked only as build_set_b reads it: no more than two ranked lists are alive at a time

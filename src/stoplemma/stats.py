@@ -119,7 +119,8 @@ def pos_rank_analysis(
     to its POS tag.  Cells where r is undefined (a group absent or
     omnipresent in a source) are flagged and excluded from that group's
     summary.  ``depth``, when given, must be at least 1; by default every
-    entry is used.
+    entry is used.  The dict's ``depth`` is the entries correlated per source:
+    the smaller of ``depth`` and the longest list's length.
 
     Each cell has the r and p of ``point_biserial`` over the source's 0/1
     group membership and its ranks (or, with ``use_frequency``, its counts).
@@ -129,7 +130,7 @@ def pos_rank_analysis(
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    actual_depth = depth or max(map(len, lists.values()), default=0)
+    longest = max(map(len, lists.values()), default=0)
     columns = []  # columns[s][g] is the cell of group g in source s
     for sid, ranked in lists.items():
         try:
@@ -149,7 +150,7 @@ def pos_rank_analysis(
             "mean_p": mean_p, "sd_p": sd_p, "defined_sources": len(rs),
             "flagged_sources": [c["source_id"] for c in row if c["error"] is not None],
         })
-    return {"cells": cells, "summaries": summaries, "depth": actual_depth}
+    return {"cells": cells, "summaries": summaries, "depth": min(depth or longest, longest)}
 
 
 def _cell(group: str, sid: str, n1: int, n0: int, r=None, p=None, error=None) -> dict:

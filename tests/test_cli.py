@@ -2,11 +2,14 @@ import errno
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,14 @@ class TestPosstatsCommand:
                     "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]) == 1
         assert f"argument --depth: must be >= 1, got {depth}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_depth_past_every_list_is_recorded_as_the_longest_list(self, tmp_path, demo_args):
+        # posstats.json's depth is the entries correlated per source, not the --depth given
+        argv = ["posstats", *[a for r in demo_args["ranked"] for a in ("--ranked", r)],
+                "--pos-lexicon", data_path("demo_pos_lexicon.tsv")]
+        assert run([*argv, "--out", tmp_path / "all"]) == 0
+        assert run([*argv, "--depth", "1000", "--out", tmp_path / "deep"]) == 0
+        assert (tmp_path / "deep" / "posstats.json").read_bytes() == (tmp_path / "all" / "posstats.json").read_bytes()
 
     def test_use_frequency_runs(self, tmp_path, demo_args):
         argv = ["posstats", *[a for r in demo_args["ranked"] for a in ("--ranked", r)],
@@ -587,6 +598,29 @@ class TestNoPartialOutput:
         assert tree_bytes(out) == {"words_demo.tsv": b"old"}
 
 
+def log_corpus_loads(monkeypatch, log):
+    """Patch ``load_corpus`` so that each load, as it begins, appends ``PID ALIVE`` to ``log``: the process
+    that loads and how many of the corpora it loaded before are still alive.  Forked induce workers inherit
+    the patch, and the file gathers their lines too."""
+    load, sources = corpus_mod.load_corpus, []
+
+    def load_corpus(*args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {sum(ref() is not None for ref in sources)}\n")
+        source = load(*args, **kwargs)
+        sources.append(weakref.ref(source))
+        return source
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
+
+
+def read_loads(log):
+    """The ``(pid, alive)`` pairs in ``log``, which is then removed."""
+    loads = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    log.unlink()
+    return loads
+
+
 class TestOneCorpusAndOneRankedTableAtATime:
     """CPython frees an object when its last reference goes, so a weakref shows what is still alive."""
 
@@ -608,19 +642,35 @@ class TestOneCorpusAndOneRankedTableAtATime:
             return result
         return wrapper
 
-    @pytest.mark.parametrize("command", ["freq", "induce"])
-    def test_each_corpus_is_freed_before_the_next_one_loads(self, tmp_path, monkeypatch, demo_args, command):
-        sources, alive = [], []
-        load = self.tracking(corpus_mod.load_corpus, sources)
-
-        def load_corpus(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in sources))
-            return load(*args, **kwargs)
-
-        monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
+    def loads(self, tmp_path, monkeypatch, demo_args, command):
+        log_corpus_loads(monkeypatch, tmp_path / "loads.log")
         stoplist = ["--stoplist", demo_args["stoplists"][0]] if command == "induce" else []
         assert run([command, *stoplist, *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
-        assert alive == [0, 0, 0]
+        return read_loads(tmp_path / "loads.log")
+
+    @pytest.mark.parametrize("command", ["freq", "induce"])
+    def test_each_corpus_is_freed_before_the_next_one_loads(self, tmp_path, monkeypatch, demo_args, command):
+        assert [alive for _, alive in self.loads(tmp_path, monkeypatch, demo_args, command)] == [0, 0, 0]
+
+    def test_induce_on_one_cpu_loads_each_corpus_in_process_after_the_last_is_freed(self, tmp_path, monkeypatch,
+                                                                                  demo_args):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.loads(tmp_path, monkeypatch, demo_args, "induce") == [(os.getpid(), 0)] * 3
+
+    def test_induce_in_a_process_with_other_threads_loads_each_corpus_in_process(self, tmp_path, monkeypatch,
+                                                                                demo_args):
+        # a forked worker would hold only the calling thread, and any lock another thread held at the fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            loads = self.loads(tmp_path, monkeypatch, demo_args, "induce")
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert loads == [(os.getpid(), 0)] * 3
 
     def test_freq_holds_one_ranked_table_at_a_time(self, tmp_path, monkeypatch):
         ranked, alive = [], []
@@ -649,6 +699,94 @@ class TestOneCorpusAndOneRankedTableAtATime:
                     "--out", tmp_path / "out"]) == 0
         # the list build_set_b read last is still its loop variable; none before it is alive
         assert alive == [0, 1, 1]
+
+
+class TestInduceCountsEachCorpusInAWorkerProcess:
+    """induce counts its corpora in forked workers, one per usable CPU; with one CPU it counts them in-process."""
+
+    @staticmethod
+    def run_on(cpus, argv, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return run(argv)
+
+    @staticmethod
+    def demo_corpora(root):
+        """The bundled corpus, then each of its documents as a corpus of its own."""
+        argv = ["--corpus", f"demo={data_path('demo_corpus')}"]
+        for doc in sorted(data_path("demo_corpus").glob("*.txt")):
+            (root / doc.stem).mkdir(parents=True)
+            shutil.copy(doc, root / doc.stem)
+            argv += ["--corpus", f"{doc.stem}={root / doc.stem}"]
+        return argv
+
+    @staticmethod
+    def generated_corpora(root):
+        """Four corpora drawn from the bundled corpus's tokens, each a tenth the size of the one before,
+        so that the later ones finish first."""
+        tokens = data_path("demo_corpus", "kahani.txt").read_text(encoding="utf-8").split()
+        rng = random.Random(26)
+        argv = []
+        for i, size in enumerate([200_000, 20_000, 2_000, 200]):
+            (root / f"g{i}").mkdir(parents=True)
+            words = rng.choices(tokens, cum_weights=list(accumulate(1 / r for r in range(1, len(tokens) + 1))),
+                                k=size)
+            text = "\n".join(" ".join(words[j:j + 12]) for j in range(0, size, 12))
+            (root / f"g{i}" / "a.txt").write_text(text, encoding="utf-8")
+            argv += ["--corpus", f"g{i}={root / f'g{i}'}"]
+        return argv
+
+    @pytest.mark.parametrize("corpora", ["demo", "generated"])
+    @pytest.mark.parametrize("policy", [[], ["--keep-symbols", "--keep-latin-words", "--drop-devanagari-digits"]])
+    def test_the_pool_writes_the_bytes_of_the_in_process_run(self, tmp_path, monkeypatch, demo_args, corpora,
+                                                             policy):
+        corpus_args = (self.demo_corpora if corpora == "demo" else self.generated_corpora)(tmp_path / "in")
+        stoplists = [a for spec in demo_args["stoplists"] for a in ("--stoplist", spec)]
+        argv = ["induce", *stoplists, *corpus_args, "--lexicon", demo_args["lexicon"], "--k-b", "30", *policy,
+                "--out", tmp_path / "out"]
+        log_corpus_loads(monkeypatch, tmp_path / "loads.log")
+        trees, loaders = [], []
+        for cpus in (4, 1):
+            assert self.run_on(cpus, argv, monkeypatch) == 0
+            trees.append(tree_bytes(tmp_path / "out"))  # provenance.json included
+            loaders.append({pid for pid, _ in read_loads(tmp_path / "loads.log")})
+            shutil.rmtree(tmp_path / "out")
+        assert trees[0] == trees[1]
+        assert os.getpid() not in loaders[0]
+        assert loaders[1] == {os.getpid()}
+
+    @pytest.mark.parametrize("first_bad", ["invalid-utf8", "no-documents"])
+    def test_the_first_bad_corpus_in_argument_order_is_named(self, tmp_path, monkeypatch, capsys, demo_args,
+                                                            first_bad):
+        good, utf8, empty = tmp_path / "good", tmp_path / "utf8", tmp_path / "empty"
+        for folder in good, utf8, empty:
+            folder.mkdir()
+        (good / "a.txt").write_text("का है घर\n", encoding="utf-8")
+        # the bad byte comes last, so the corpus without documents fails sooner
+        head = "का है घर\n" * 20_000
+        for name in "abcdefgh":
+            (utf8 / f"{name}.txt").write_text(head, encoding="utf-8")
+        (utf8 / "z.txt").write_bytes(head.encode() + b"\xff\n")
+        (empty / "notes.md").write_text("no documents\n", encoding="utf-8")
+        bad = [utf8, empty] if first_bad == "invalid-utf8" else [empty, utf8]
+        argv = ["induce", "--stoplist", demo_args["stoplists"][0],
+                *[a for i, c in enumerate([good, *bad]) for a in ("--corpus", f"c{i}={c}")], "--out", tmp_path / "out"]
+        named = (f"{utf8 / 'z.txt'}:20001: invalid UTF-8 at byte offset {len(head.encode())}"
+                 if first_bad == "invalid-utf8" else f"no .txt files under {empty}")
+        for cpus in (4, 1):
+            assert self.run_on(cpus, argv, monkeypatch) == 1
+            assert capsys.readouterr().err == f"error: {named}\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_an_error_cancels_the_corpora_not_yet_started(self, tmp_path, monkeypatch, demo_args):
+        argv = ["induce", "--stoplist", demo_args["stoplists"][0], "--corpus", f"bad={tmp_path / 'bad'}"]
+        (tmp_path / "bad").mkdir()  # no documents: it fails at once
+        for i in range(8):  # each takes a while to count
+            (tmp_path / f"c{i}").mkdir()
+            (tmp_path / f"c{i}" / "a.txt").write_text(f"का है घर {i}\n" * 30_000, encoding="utf-8")
+            argv += ["--corpus", f"c{i}={tmp_path / f'c{i}'}"]
+        log_corpus_loads(monkeypatch, tmp_path / "loads.log")
+        assert self.run_on(2, [*argv, "--out", tmp_path / "out"], monkeypatch) == 1
+        assert len(read_loads(tmp_path / "loads.log")) < 9
 
 
 @pytest.mark.parametrize("option, source", [
@@ -972,6 +1110,35 @@ def test_only_posstats_imports_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess", "posstats"}
+
+
+_LAZY_POOL_SCRIPT = """
+import os
+import sys
+from stoplemma import data_path
+from stoplemma.cli import main
+
+pool_modules = ["concurrent.futures", "multiprocessing"]
+assert not [m for m in pool_modules if m in sys.modules], "importing the CLI imported a pool module"
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+out = sys.argv[1]
+corpora = [a for i in (1, 2) for a in ("--corpus", f"c{i}={data_path('demo_corpus')}")]
+assert main(["freq", *corpora, "--out", out + "/freq"]) == 0
+assert not [m for m in pool_modules if m in sys.modules], "freq imported a pool module"
+stoplist = f"l1={data_path('demo_stoplists', 'list1.txt')}"
+assert main(["induce", "--stoplist", stoplist, *corpora, "--out", out + "/induce"]) == 0
+assert all(m in sys.modules for m in pool_modules), "induce counted two corpora without a pool"
+"""
+
+
+def test_only_induce_imports_the_process_pool(tmp_path):
+    # an import at CLI start-up would add to every subcommand's setup time
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_POOL_SCRIPT, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
 
 
 # one valid value per declared option, other than its default; "out" is relative to the run's folder

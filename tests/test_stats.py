@@ -294,8 +294,8 @@ def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, u
     report = pos_rank_analysis(lists, lex, depth=depth, use_frequency=use_frequency)
     cells, summaries = reference_analysis(lists, lex, depth, use_frequency)
     # == on r and p: below 2**53 the exact integer sums give point_biserial's very floats
-    assert report == {"cells": cells, "summaries": summaries,
-                      "depth": depth or max(map(len, lists.values()))}
+    longest = max(map(len, lists.values()))
+    assert report == {"cells": cells, "summaries": summaries, "depth": min(depth or longest, longest)}
 
 
 def test_counts_beyond_two_to_the_53_stay_close_to_point_biserial():
