@@ -6,6 +6,8 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -17,6 +19,8 @@ from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, scan_su
 # token stream; each slice ends at whitespace to keep tokens whole.
 _CHUNK_CHARS = 1 << 18
 _SPACE = re.compile(r"\s")
+# a line of a "\n"-joined token list that PLAIN_WORD does not fullmatch
+_NOT_PLAIN = re.compile(f"^(?!{PLAIN_WORD.pattern}$).+$", re.M)
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ def _iter_chunks(text: str) -> Iterable[str]:
         start = end
 
 
-def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -> Counter:
+def count_document_words(documents: Iterable[Document], policy: FilterPolicy = FilterPolicy()) -> Counter:
     # Count whitespace tokens first, then turn each distinct one into kept
     # surfaces, weighted by its count: that work scales with the vocabulary,
     # not the token count.  A plain Devanagari token (see PLAIN_WORD) is
@@ -60,22 +64,23 @@ def count_document_words(doc: Document, policy: FilterPolicy = FilterPolicy()) -
     # and scanning the whole text because every whitespace character is an
     # NFC starter that composes with nothing, NFC maps no other character to
     # whitespace, and str.split() and re's \s agree on what whitespace is.
+    # The tokens that are not plain are found in one pass over the tokens
+    # joined by "\n", which no str.split() token holds.  Each leaves `tokens`
+    # before any kept surface is added back, so no surface is taken for an
+    # unscanned token.
     tokens: Counter = Counter()
-    for chunk in _iter_chunks(doc.raw_text):
-        tokens.update(chunk.split())
-    counts: Counter = Counter()
+    for doc in documents:
+        for chunk in _iter_chunks(doc.raw_text):
+            tokens.update(chunk.split())
     rest: Counter = Counter()
-    plain = PLAIN_WORD.fullmatch
-    for token, n in tokens.items():
-        if plain(token):
-            counts[token] = n
-        else:
-            for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
-                rest[surface] += n
+    for token in _NOT_PLAIN.findall("\n".join(tokens)):
+        n = tokens.pop(token)
+        for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
+            rest[surface] += n
     for surface, n in rest.items():
         if policy.keeps(classify(surface)):
-            counts[surface] += n
-    return counts
+            tokens[surface] += n
+    return tokens
 
 
 def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
@@ -86,9 +91,7 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
 
 
 def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy()) -> FrequencyTable:
-    merged = merge_counts(count_document_words(d, policy) for d in corpus.documents)
-    # copied into a plain dict: bench/run.py reads a lower peak RSS for freq (cause not found)
-    return FrequencyTable(counts=dict(merged))
+    return FrequencyTable(counts=count_document_words(corpus.documents, policy))
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:
@@ -123,9 +126,11 @@ def top_k(ranked: RankedList, k: int) -> list[str]:
 
 
 def write_tsv(ranked: RankedList, path: str | Path) -> None:
+    # one write per run of equal counts; rank order makes that one per count
     with Path(path).open("w", encoding="utf-8") as fh:
-        for item, count in ranked.entries:
-            fh.write(f"{item}\t{count}\n")
+        for count, group in groupby(ranked.entries, key=itemgetter(1)):
+            end = f"\t{count}\n"
+            fh.write(end.join(map(itemgetter(0), group)) + end)
 
 
 def read_ranked_tsv(path: str | Path) -> RankedList:

@@ -235,7 +235,7 @@ def test_criterion_7_counting_laws():
                 for w in rng.sample(vocab, rng.randint(0, len(vocab)))
             })
             words = count_words(corpus)
-            merged = merge_counts(count_document_words(d) for d in corpus.documents)
+            merged = merge_counts(count_document_words([d]) for d in corpus.documents)
             assert words.counts == dict(merged)
             lemmas = lemma_table(words, lex)
             assert lemmas.total_tokens == words.total_tokens

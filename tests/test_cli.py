@@ -1141,6 +1141,16 @@ def test_only_induce_imports_the_process_pool(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
 
 
+def test_cli_import_skips_importlib_resources():
+    # -S: without site, since a .pth file in site-packages may import the module itself
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    script = ("import sys, stoplemma.cli\n"
+              "assert 'importlib.resources' not in sys.modules, 'importlib.resources was imported'\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # one valid value per declared option, other than its default; "out" is relative to the run's folder
 OPTION_VALUES = {
     "--corpus": [f"demo={data_path('demo_corpus')}"],

@@ -58,7 +58,7 @@ class TestCountWords:
         for _ in range(10):
             corpus = random_corpus(rng)
             whole = count_words(corpus)
-            merged = merge_counts(count_document_words(d) for d in corpus.documents)
+            merged = merge_counts(count_document_words([d]) for d in corpus.documents)
             assert whole.counts == dict(merged)
 
 
@@ -141,6 +141,20 @@ class TestTopK:
         assert top_k(ranked, 10) == "का है वह हो में कर था जा यह और".split()
 
 
+@pytest.mark.parametrize("counts", [
+    {"का": 5, "है": 3, "जा": 1},  # every count group one row
+    {f"क{i:04}": 1 for i in range(1000)},  # one run of 1000 ties
+    {},  # an empty file
+    {"का": 10**40 + 7, "है": 10**40},  # counts with 41 digits
+], ids=["single-row-groups", "long-tie-run", "empty", "many-digits"])
+def test_tsv_bytes_are_one_row_per_entry(tmp_path, counts):
+    ranked = rank_items(counts)
+    path = tmp_path / "out.tsv"
+    write_tsv(ranked, path)
+    expected = "".join(f"{item}\t{count}\n" for item, count in ranked.entries)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_tsv_roundtrip(tmp_path):
     ranked = rank_items({"का": 5, "जा": 3})
     path = tmp_path / "out.tsv"
@@ -208,37 +222,49 @@ POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
 @pytest.mark.parametrize("flags", POLICY_FLAGS, ids=[
     "drop-" + ("".join(n for n, drop in zip("SWND", f) if drop) or "none") for f in POLICY_FLAGS])
 @settings(max_examples=40, deadline=None)
-@given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=60))
+@given(raws=st.lists(st.text(alphabet=COUNTING_ALPHABET, max_size=60), min_size=1, max_size=3))
 # with 3-char chunks the first cut falls inside the whitespace run; the
-# second document has no whitespace, so it is one chunk of one token
-@example(raw="घर \u2000\u3000\t\u0085  \u0301a, है")
-@example(raw="क\u093cि।१2#a\u0301,घर" * 4)
-def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raw):
+# second example has no whitespace, so it is one chunk of one token
+@example(raws=["घर \u2000\u3000\t\u0085  \u0301a, है"])
+@example(raws=["क\u093cि।१2#a\u0301,घर" * 4])
+# one surface reached through different tokens in different documents, a
+# plain token in one and a token that is not plain in another: an NFD nukta
+# letter against U+0929, the composition exclusion U+0958 against its NFC
+# spelling next to a plain क, a stress mark before the virama next to a
+# plain क्, an attached danda and an NBSP between two words
+@example(raws=["\u0929 घर", "\u0928\u093c"])
+@example(raws=["\u0915\u093c क", "\u0958"])
+@example(raws=["\u0915\u094d\u0951 क्", "\u0915\u0951\u094d"])
+@example(raws=["घर है", "घर। है॥", "।घर"])
+@example(raws=["घर\u00a0\u0929", "\u0928\u093c\u00a0घर"])
+def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raws):
     symbols, latin_words, latin_numbers, devanagari_digits = flags
     policy = FilterPolicy(keep_symbols=not symbols, keep_latin_words=not latin_words,
                           keep_latin_numbers=not latin_numbers, drop_devanagari_digits=devanagari_digits)
-    expected = Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
+    expected = sum((Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
+                    for raw in raws), Counter())
+    docs = [Document(path=f"{i}.txt", raw_text=raw) for i, raw in enumerate(raws)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_CHUNK_CHARS", chunk_chars)
-        assert count_document_words(Document(path="d.txt", raw_text=raw), policy) == expected
+        assert count_document_words(docs, policy) == expected
 
 
 def test_plain_and_normalized_tokens_meet_in_one_surface():
     # the precomposed letter is plain; its NFD spelling is normalized onto it
     doc = Document(path="d.txt", raw_text="\u0929 \u0928\u093c")
-    assert count_document_words(doc) == {"\u0929": 2}
+    assert count_document_words([doc]) == {"\u0929": 2}
 
 
 def test_reordered_stress_mark_is_normalized():
     # NFC puts the virama (class 9) before the stress mark (class 230)
     doc = Document(path="d.txt", raw_text="\u0915\u0951\u094d")
-    assert count_document_words(doc) == {"\u0915\u094d\u0951": 1}
+    assert count_document_words([doc]) == {"\u0915\u094d\u0951": 1}
 
 
 def test_chunking_never_cuts_a_run(monkeypatch):
     monkeypatch.setattr(freq, "_CHUNK_CHARS", 8)
     doc = Document(path="d.txt", raw_text="घर " + "क" * 20 + " है")
-    assert count_document_words(doc) == {"घर": 1, "क" * 20: 1, "है": 1}
+    assert count_document_words([doc]) == {"घर": 1, "क" * 20: 1, "है": 1}
 
 
 @settings(max_examples=100, deadline=None)
