@@ -13,9 +13,8 @@ The final list is A ∩ B, ordered by aggregate corpus count.
 
 from stoplemma import data_path
 from stoplemma.corpus import load_corpus
-from stoplemma.freq import count_words, lemma_table, rank_items
+from stoplemma.freq import count_words, lemma_table
 from stoplemma.induce import (
-    aggregate_lemma_counts,
     build_final_list,
     build_set_a,
     build_set_b,
@@ -33,10 +32,10 @@ corpus = load_corpus(data_path("demo_corpus"))
 table = lemma_table(count_words(corpus), lex)
 
 set_a = build_set_a(lists, lex, k=20)
-set_b = build_set_b([rank_items(table.counts)], k=20)
+set_b = build_set_b([table.counts], k=20)
 print(f"set A: {len(set_a)} lemmas, set B: {len(set_b)} lemmas")
 
-final = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))
+final = build_final_list(set_a, set_b, [table.counts])
 print(f"final list ({len(final)} lemmas):")
 for lemma, count in final.entries:
     print(f"  {lemma}\t{count}")

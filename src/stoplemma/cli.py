@@ -162,12 +162,12 @@ def cmd_induce(args) -> dict:
     lists = [induce_mod.load_stopword_list(path) for _, path in args.stoplist]
     # one worker process per corpus, up to the usable CPUs; map keeps the corpora's order.
     # Workers are forked, so they start with the modules loaded, but fork copies only the
-    # calling thread: a process that runs other threads counts its corpora itself.
+    # calling thread: a process that runs other threads, or cannot fork, counts its corpora itself.
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    workers = min(len(args.corpus), cpus) if threading.active_count() == 1 else 1
+    workers = min(len(args.corpus), cpus) if threading.active_count() == 1 and hasattr(os, "fork") else 1
     tasks = ([path for _, path in args.corpus], repeat(policy), repeat(lex))
     if workers == 1:
         lemma_counts = list(map(_corpus_lemma_counts, *tasks))
@@ -183,10 +183,8 @@ def cmd_induce(args) -> dict:
             pool.shutdown(cancel_futures=True)  # after an error, no pending corpus is counted
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
-    # each corpus is ranked only as build_set_b reads it: no more than two ranked lists are alive at a time
-    set_b = induce_mod.build_set_b(map(freq_mod.rank_items, lemma_counts), k=args.k_b)
-    aggregate = induce_mod.aggregate_lemma_counts(lemma_counts)
-    final = induce_mod.build_final_list(set_a, set_b, aggregate)
+    set_b = induce_mod.build_set_b(lemma_counts, k=args.k_b)
+    final = induce_mod.build_final_list(set_a, set_b, lemma_counts)
     report = induce_mod.induction_report(lists, set_a, set_b, final)
     return {
         "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,29 +29,29 @@ def build_set_a(lists: Sequence[Counter], lex: LemmaLexicon, k: int = DEFAULT_K)
         raise ValueError(f"k must be >= 1, got {k}")
     result: set[str] = set()
     for entries in lists:
-        # islice takes no stop above sys.maxsize, and k may be larger
-        result |= gen_lemma(islice(entries, min(k, len(entries))), lex)
+        result |= gen_lemma(list(entries)[:k], lex)
     return result
 
 
-def build_set_b(ranked_lemma_lists: Iterable[RankedList], k: int = DEFAULT_K) -> set[str]:
-    """Union of each corpus's top-k most frequent lemmas; each list may be freed once it is read."""
+def build_set_b(lemma_tables: Iterable[Mapping[str, int]], k: int = DEFAULT_K) -> set[str]:
+    """Union of each corpus's top-k most frequent lemmas; each table is ranked as it is read, one at a time."""
     result: set[str] = set()
-    ranked = None
-    for ranked in ranked_lemma_lists:
-        result.update(top_k(ranked, k))
-    if ranked is None:
-        raise ValueError("need at least one ranked lemma list")
+    table = None
+    for table in lemma_tables:
+        result.update(top_k(rank_items(table), k))
+    if table is None:
+        raise ValueError("need at least one lemma table")
     return result
 
 
 def build_final_list(
     set_a: set[str],
     set_b: set[str],
-    aggregate_counts: Mapping[str, int],
+    lemma_tables: Sequence[Mapping[str, int]],
 ) -> RankedList:
-    """A ∩ B as (lemma, aggregate count) entries, ranked as ``rank_items`` ranks."""
+    """A ∩ B as (lemma, count summed over ``lemma_tables``) entries, ranked as ``rank_items`` ranks."""
     common = set_a & set_b
+    aggregate_counts = aggregate_lemma_counts(lemma_tables)
     missing = sorted(l for l in common if l not in aggregate_counts)
     if missing:
         raise ValueError(f"no aggregate count for lemmas: {missing}")

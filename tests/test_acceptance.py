@@ -23,7 +23,7 @@ import pytest
 from stoplemma import data_path
 from stoplemma.cli import main
 from stoplemma.corpus import CorpusSource, Document
-from stoplemma.freq import count_words, lemma_table, merge_counts, rank_items, top_k
+from stoplemma.freq import count_words, lemma_table, merge_counts
 from stoplemma.induce import (
     aggregate_lemma_counts,
     build_final_list,
@@ -95,11 +95,11 @@ def test_criterion_1_set_algebra_matches_brute_force():
             ]
             k = rng.randint(1, 30)
 
-            tables = [lemma_table(count_words(c), lex) for c in corpora]
+            tables = [lemma_table(count_words(c), lex).counts for c in corpora]
             got_a = build_set_a(stop_lists, lex, k=k)
-            got_b = build_set_b([rank_items(t.counts) for t in tables], k=k)
-            agg = aggregate_lemma_counts([t.counts for t in tables])
-            got_final = build_final_list(got_a, got_b, agg)
+            got_b = build_set_b(tables, k=k)
+            agg = aggregate_lemma_counts(tables)
+            got_final = build_final_list(got_a, got_b, tables)
 
             # independent brute force, plain dict/sort arithmetic only
             want_a = set()

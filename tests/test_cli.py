@@ -18,6 +18,7 @@ import stoplemma
 from stoplemma import corpus as corpus_mod
 from stoplemma import data_path
 from stoplemma import freq as freq_mod
+from stoplemma import induce as induce_mod
 from stoplemma.cli import COMMANDS, IDS, REQUIRED, SWITCH, main
 
 
@@ -102,11 +103,8 @@ class TestFreqCommand:
 class TestInduceCommand:
     def test_matches_library_oracle(self, tmp_path, demo_args):
         from stoplemma.corpus import load_corpus
-        from stoplemma.freq import count_words, lemma_table, rank_items
-        from stoplemma.induce import (
-            aggregate_lemma_counts, build_final_list, build_set_a, build_set_b,
-            load_stopword_list,
-        )
+        from stoplemma.freq import count_words, lemma_table
+        from stoplemma.induce import build_final_list, build_set_a, build_set_b, load_stopword_list
         from stoplemma.lemma import load_lexicon
 
         out = tmp_path / "out"
@@ -124,8 +122,8 @@ class TestInduceCommand:
         ]
         table = lemma_table(count_words(load_corpus(data_path("demo_corpus"))), lex)
         set_a = build_set_a(lists, lex, k=20)
-        set_b = build_set_b([rank_items(table.counts)], k=20)
-        expected = build_final_list(set_a, set_b, aggregate_lemma_counts([table.counts]))
+        set_b = build_set_b([table.counts], k=20)
+        expected = build_final_list(set_a, set_b, [table.counts])
         got = (out / "stoplemmas.txt").read_text(encoding="utf-8").split()
         assert got == [l for l, _ in expected.entries]
 
@@ -265,6 +263,17 @@ class TestPosstatsCommand:
                 "--out", tmp_path / "out"]
         assert run(argv) == 0
 
+    def test_a_group_that_splits_the_counts_has_r_1_and_p_0(self, tmp_path):
+        ranked = tmp_path / "r.tsv"
+        ranked.write_text("क\t5\nख\t5\nग\t1\nघ\t1\n", encoding="utf-8")
+        pos = tmp_path / "pos.tsv"
+        pos.write_text("क\tNN\nख\tNN\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["posstats", "--ranked", f"s={ranked}", "--pos-lexicon", pos, "--use-frequency",
+                    "--out", out]) == 0
+        cells = json.loads((out / "posstats.json").read_text())["cells"]
+        assert [(c["r"], c["p"]) for c in cells if c["group"] == "NN/NNP/NNPC"] == [(1.0, 0.0)]
+
     @pytest.mark.parametrize("counts, pos_lexicon", [
         (["9" * 200, "5", "3", "1"], "a\tNN\nd\tVM\n"),  # its square overflows
         (["9" * 400, "5", "3", "1"], "a\tNN\nd\tVM\n"),  # no float holds it
@@ -360,6 +369,16 @@ class TestAssessCommand:
         assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 0
         payload = json.loads((out / "coverage.json").read_text())
         assert (payload["external_total"], payload["untranslatable_count"]) == (2, 1)
+
+    def test_a_word_with_no_targets_exits_1(self, tmp_path, capsys):
+        mapping = tmp_path / "map.tsv"
+        mapping.write_text("the\t, ,\n", encoding="utf-8")
+        listfile = tmp_path / "list.txt"
+        listfile.write_text("का\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["assess", "--mapping", mapping, "--list", listfile, "--out", out]) == 1
+        assert f"{mapping}:1: no targets for 'the'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lines", ["a\tवह\na\t!\n", "a\t!\na\tवह\n"],
                              ids=["mapped-first", "untranslatable-first"])
@@ -474,6 +493,16 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert run(["--config", config, "overlap", "--ranked", "a=x", "--ranked", "b=y", "--out", out]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['[{"k": 3}]', "3", "null"])
+    def test_a_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, demo_args, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        ranked = [a for r in demo_args["ranked"][:2] for a in ("--ranked", r)]
+        assert run(["--config", config, "overlap", *ranked, "--out", out]) == 1
+        assert f"{config}: config must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_repeatable_flag_replaces_the_config_list(self, tmp_path, demo_args):
@@ -672,6 +701,30 @@ class TestOneCorpusAndOneRankedTableAtATime:
         assert not other.is_alive()
         assert loads == [(os.getpid(), 0)] * 3
 
+    def test_induce_without_fork_loads_each_corpus_in_process(self, tmp_path, monkeypatch, demo_args):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        log_corpus_loads(monkeypatch, tmp_path / "loads.log")
+        out = tmp_path / "out"
+        argv = ["induce", "--stoplist", demo_args["stoplists"][0], *self.corpora(tmp_path), "--out", out]
+        assert run(argv) == 0
+        assert os.getpid() not in {pid for pid, _ in read_loads(tmp_path / "loads.log")}
+        pooled = tree_bytes(out)
+        shutil.rmtree(out)
+        monkeypatch.delattr(os, "fork")  # as on Windows, where multiprocessing has no fork context
+        assert run(argv) == 0
+        assert read_loads(tmp_path / "loads.log") == [(os.getpid(), 0)] * 3
+        assert tree_bytes(out) == pooled
+
+    @pytest.mark.parametrize("cpu_count", [1, None, 2])
+    def test_induce_without_cpu_affinity_takes_the_cpu_count(self, tmp_path, monkeypatch, demo_args, cpu_count):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        loads = self.loads(tmp_path, monkeypatch, demo_args, "induce")
+        if cpu_count == 2:
+            assert os.getpid() not in {pid for pid, _ in loads}
+        else:  # one CPU, or a count the platform cannot give
+            assert loads == [(os.getpid(), 0)] * 3
+
     def test_freq_holds_one_ranked_table_at_a_time(self, tmp_path, monkeypatch):
         ranked, alive = [], []
         write = freq_mod.write_tsv
@@ -688,17 +741,18 @@ class TestOneCorpusAndOneRankedTableAtATime:
     def test_induce_ranks_each_corpus_while_at_most_one_earlier_list_is_alive(self, tmp_path, monkeypatch,
                                                                               demo_args):
         ranked, alive = [], []
-        rank = self.tracking(freq_mod.rank_items, ranked)
+        rank = self.tracking(induce_mod.rank_items, ranked)
 
         def rank_items(*args, **kwargs):
             alive.append(sum(ref() is not None for ref in ranked))
             return rank(*args, **kwargs)
 
-        monkeypatch.setattr(freq_mod, "rank_items", rank_items)
+        # induce binds rank_items at import, so only a patch on its own namespace reaches it
+        monkeypatch.setattr(induce_mod, "rank_items", rank_items)
         assert run(["induce", "--stoplist", demo_args["stoplists"][0], *self.corpora(tmp_path),
                     "--out", tmp_path / "out"]) == 0
-        # the list build_set_b read last is still its loop variable; none before it is alive
-        assert alive == [0, 1, 1]
+        # one ranking per corpus for set B, then the final list's: none outlives its use
+        assert alive == [0, 0, 0, 0]
 
 
 class TestInduceCountsEachCorpusInAWorkerProcess:

@@ -23,10 +23,6 @@ def write_list(tmp_path, name, lines):
     return path
 
 
-def ranked_from(counts):
-    return rank_items(counts)
-
-
 class TestLoadStopwordList:
     def test_dedup_logged(self, tmp_path):
         sl = load_stopword_list(write_list(tmp_path, "l.txt", ["का", "का", "है"]))
@@ -86,53 +82,60 @@ class TestBuildSetA:
         lists = [Counter(["की तरह"])]
         assert build_set_a(lists, lex, k=10) == {"का तरह"}
 
+    def test_no_stop_word_list_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one stop word list"):
+            build_set_a([], EMPTY_LEXICON)
+
+    def test_k_below_one_is_an_error(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            build_set_a([Counter(["का"])], EMPTY_LEXICON, k=0)
+
 
 class TestBuildSetB:
     def test_single_source(self):
-        ranked = ranked_from({"का": 9, "है": 5, "घर": 1})
-        assert build_set_b([ranked], k=2) == {"का", "है"}
+        assert build_set_b([{"का": 9, "है": 5, "घर": 1}], k=2) == {"का", "है"}
 
     def test_saturation(self):
-        lists = [ranked_from({"का": 2, "है": 1}), ranked_from({"घर": 4})]
-        assert build_set_b(lists, k=100) == {"का", "है", "घर"}
+        tables = [{"का": 2, "है": 1}, {"घर": 4}]
+        assert build_set_b(tables, k=100) == {"का", "है", "घर"}
 
     def test_monotone_in_k(self):
         rng = random.Random(3)
-        lists = [
-            ranked_from({f"w{i}": rng.randint(1, 30) for i in range(rng.randint(1, 15))})
+        tables = [
+            {f"w{i}": rng.randint(1, 30) for i in range(rng.randint(1, 15))}
             for _ in range(4)
         ]
         for k in range(1, 15):
-            assert build_set_b(lists, k) <= build_set_b(lists, k + 1)
+            assert build_set_b(tables, k) <= build_set_b(tables, k + 1)
 
     def test_an_iterator_gives_what_its_list_gives(self):
-        lists = [ranked_from({"का": 2, "है": 1}), ranked_from({"घर": 4, "है": 3})]
+        tables = [{"का": 2, "है": 1}, {"घर": 4, "है": 3}]
         for k in (1, 2, 3):
-            assert build_set_b(iter(lists), k) == build_set_b(lists, k)
+            assert build_set_b(iter(tables), k) == build_set_b(tables, k)
 
     @pytest.mark.parametrize("lists", [[], iter([])], ids=["list", "iterator"])
     def test_no_ranked_list_is_an_error(self, lists):
-        with pytest.raises(ValueError, match="at least one ranked lemma list"):
+        with pytest.raises(ValueError, match="at least one lemma table"):
             build_set_b(lists)
 
 
 class TestBuildFinalList:
     def test_intersection(self):
-        final = build_final_list({"x", "y"}, {"y", "z"}, {"y": 7})
+        final = build_final_list({"x", "y"}, {"y", "z"}, [{"y": 7}])
         assert final == RankedList((("y", 7),))
 
     def test_disjoint_inputs(self):
-        final = build_final_list({"x"}, {"z"}, {})
+        final = build_final_list({"x"}, {"z"}, [{}])
         assert len(final) == 0
 
     def test_missing_count_is_error(self):
         with pytest.raises(ValueError, match="aggregate count"):
-            build_final_list({"y"}, {"y"}, {})
+            build_final_list({"y"}, {"y"}, [{}])
 
     def test_order_and_tie_break(self):
         final = build_final_list(
             {"का", "जा", "है"}, {"का", "जा", "है"},
-            {"का": 9, "जा": 3, "है": 3},
+            [{"का": 9, "जा": 3, "है": 3}],
         )
         assert [l for l, _ in final.entries] == ["का", "जा", "है"]
 
@@ -140,7 +143,7 @@ class TestBuildFinalList:
         set_a = {"का", "है", "जा", "कर", "घर", "राम"}
         set_b = {"का", "है", "जा", "नदी", "पेड़"}
         counts = {"का": 50, "है": 40, "जा": 10, "नदी": 5, "पेड़": 2}
-        final = build_final_list(set_a, set_b, counts)
+        final = build_final_list(set_a, set_b, [counts])
         expected = sorted(set_a & set_b, key=lambda l: (-counts[l], l))
         assert [l for l, _ in final.entries] == expected
         assert {l for l, _ in final.entries} <= set_a & set_b
@@ -154,7 +157,7 @@ def test_induction_report_counts(tmp_path):
     ]
     set_a = build_set_a(lists, EMPTY_LEXICON, k=10)
     set_b = {"का", "घर", "जा"}
-    final = build_final_list(set_a, set_b, {"का": 3, "घर": 1})
+    final = build_final_list(set_a, set_b, [{"का": 3, "घर": 1}])
     assert induction_report(lists, set_a, set_b, final) == {
         "raw_word_total": 5,
         "deduped_word_total": 3,
@@ -165,7 +168,7 @@ def test_induction_report_counts(tmp_path):
 
 
 def test_list_export_roundtrip(tmp_path):
-    final = build_final_list({"का", "है"}, {"का", "है"}, {"का": 2, "है": 1})
+    final = build_final_list({"का", "है"}, {"का", "है"}, [{"का": 2, "है": 1}])
     out = tmp_path / "list.txt"
     write_stoplemma_list(final, out)
     assert list(load_stopword_list(out)) == ["का", "है"]

@@ -61,6 +61,10 @@ class TestLemmatize:
         lex = LemmaLexicon(entries={"गया": "जा", "की": "का"})
         assert lemmatize_phrase("गया  की", lex) == "जा का"
 
+    def test_blank_phrase(self):
+        with pytest.raises(ValueError, match="empty phrase"):
+            lemmatize_phrase("   ", EMPTY_LEXICON)
+
 
 class TestGenLemma:
     def test_empty_set(self):

@@ -68,6 +68,17 @@ class TestPointBiserial:
         with pytest.raises(ValueError, match="at least 3"):
             point_biserial([1, 0], [1, 2])
 
+    def test_lengths_that_differ(self):
+        with pytest.raises(ValueError, match="equal length"):
+            point_biserial([1, 0, 1], [1, 2, 3, 4])
+
+    def test_membership_other_than_0_or_1(self):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            point_biserial([1, 0, 2], [1, 2, 3])
+
+    def test_a_group_that_splits_the_values_has_r_1_and_p_0(self):
+        assert point_biserial([1, 1, 0, 0], [5, 5, 1, 1]) == (1.0, 0.0)
+
     def test_symmetric_members_give_zero(self):
         # members sit at both ranks symmetrically, so the group means coincide
         r, _ = point_biserial([1, 0, 0, 1], [1, 2, 1, 2])
