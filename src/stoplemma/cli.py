@@ -37,7 +37,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_COMPUTE_ERROR = 2
 
-# ValueError: invalid input, naming PATH:LINE where there is one; OSError: paths that cannot be read or written
+# ValueError: invalid input, naming PATH:LINE where there is one; OSError: paths that cannot be read or
+# written, and a worker process that died
 _INPUT_ERRORS = (OSError, ValueError)
 
 # an option's kind: a switch, a repeatable ID=PATH, or the converter its text goes through
@@ -98,14 +99,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_tree(path: Path) -> str:
-    if path.is_file():
-        return _sha256(path)
+def _count_corpus(path: str, policy: FilterPolicy) -> tuple[freq_mod.FrequencyTable, str]:
+    """A corpus's word table and its SHA-256 for ``provenance.json``, from one read of each document.
+
+    The corpus's hash is taken over each document in turn: its path under the
+    corpus folder, ``os.fsencode``d, then the hex SHA-256 of its bytes.
+    """
+    corpus, digests = corpus_mod.load_corpus(path), []
+    words = freq_mod.count_words(corpus, policy, digests)
     h = hashlib.sha256()
-    for p in corpus_mod.document_paths(path):
-        h.update(os.fsencode(p.relative_to(path)))
-        h.update(_sha256(p).encode())
-    return h.hexdigest()
+    for doc, digest in zip(corpus.documents, digests):
+        h.update(os.fsencode(doc.path))
+        h.update(digest.encode())
+    return words, h.hexdigest()
 
 
 def _policy_from_args(args) -> FilterPolicy:
@@ -124,36 +130,38 @@ def _write_ranked(counts: dict[str, int], path: Path) -> None:
 
 
 # Each cmd_* gets every ID=PATH option as (ID, PATH) pairs and every input
-# path checked; it computes and returns a writer per output file name.
-# main() adds the provenance and writes them.
+# path checked; it computes and returns a writer per output file name, and
+# the SHA-256 of each input folder it read.  main() hashes the other inputs,
+# adds the provenance and writes the outputs.
 
-def cmd_freq(args) -> dict:
+def cmd_freq(args) -> tuple[dict, dict]:
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
     tables = []
-    outputs = {}
+    outputs, hashes = {}, {}
     for ident, path in args.corpus:
-        # no name holds the corpus, so its documents are freed before the next one loads
-        words = freq_mod.count_words(corpus_mod.load_corpus(path), policy)
+        words, hashes[path] = _count_corpus(path, policy)
         lemmas = freq_mod.lemma_table(words, lex)
         for kind, table in (("word", words), ("lemma", lemmas)):
             tables.append((ident, kind, table))
             outputs[f"{kind}s_{ident}.tsv"] = partial(_write_ranked, table.counts)
     outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
-    return outputs
+    return outputs, hashes
 
 
-def _corpus_lemma_counts(path: str, policy: FilterPolicy, lex: lemma_mod.LemmaLexicon) -> dict[str, int]:
-    """One corpus's lemma counts, as an ``induce`` worker process counts them.
+def _corpus_lemma_counts(path: str, policy: FilterPolicy,
+                         lex: lemma_mod.LemmaLexicon) -> tuple[dict[str, int], str]:
+    """One corpus's lemma counts and hash, as an ``induce`` worker process counts them.
 
     Private, because bench/inproc.py wraps every public function in a closure,
     and a closure cannot be pickled to a worker.
     """
-    return freq_mod.lemma_table(freq_mod.count_words(corpus_mod.load_corpus(path), policy), lex).counts
+    words, tree = _count_corpus(path, policy)
+    return freq_mod.lemma_table(words, lex).counts, tree
 
 
-def cmd_induce(args) -> dict:
+def cmd_induce(args) -> tuple[dict, dict]:
     if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in args.corpus):
         raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
     policy = _policy_from_args(args)
@@ -168,19 +176,24 @@ def cmd_induce(args) -> dict:
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
     workers = min(len(args.corpus), cpus) if threading.active_count() == 1 and hasattr(os, "fork") else 1
-    tasks = ([path for _, path in args.corpus], repeat(policy), repeat(lex))
+    paths = [path for _, path in args.corpus]
+    tasks = (paths, repeat(policy), repeat(lex))
     if workers == 1:
-        lemma_counts = list(map(_corpus_lemma_counts, *tasks))
+        counted = list(map(_corpus_lemma_counts, *tasks))
     else:
         # imported here, so that no other subcommand's start-up pays for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            lemma_counts = list(pool.map(_corpus_lemma_counts, *tasks))
+            counted = list(pool.map(_corpus_lemma_counts, *tasks))
+        except BrokenProcessPool as exc:  # a worker was killed, as by the out-of-memory killer
+            raise OSError(f"a worker process counting the corpora died: {exc}") from None
         finally:
             pool.shutdown(cancel_futures=True)  # after an error, no pending corpus is counted
+    lemma_counts, trees = zip(*counted)
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
     set_b = induce_mod.build_set_b(lemma_counts, k=args.k_b)
@@ -189,10 +202,10 @@ def cmd_induce(args) -> dict:
     return {
         "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
         "induction_report.json": partial(write_json, report),
-    }
+    }, dict(zip(paths, trees))
 
 
-def cmd_overlap(args) -> dict:
+def cmd_overlap(args) -> tuple[dict, dict]:
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
     counts = stats_mod.top_k_overlap(lists, k=args.k)
     summary = {
@@ -205,10 +218,10 @@ def cmd_overlap(args) -> dict:
     return {
         "overlap.tsv": partial(_write_ranked, counts),
         "overlap_report.json": partial(write_json, summary),
-    }
+    }, {}
 
 
-def cmd_posstats(args) -> dict:
+def cmd_posstats(args) -> tuple[dict, dict]:
     if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
         raise ValueError(f"--threshold must be a finite number, got {args.threshold!r}")
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
@@ -222,10 +235,10 @@ def cmd_posstats(args) -> dict:
         "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
         "posstats.json": partial(write_json, report),
         "hypothesis.json": partial(write_json, verdict),
-    }
+    }, {}
 
 
-def cmd_assess(args) -> dict:
+def cmd_assess(args) -> tuple[dict, dict]:
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_stopword_list(args.list))
@@ -234,7 +247,7 @@ def cmd_assess(args) -> dict:
     return {
         "coverage.json": partial(write_json, summary),
         "coverage.txt": lambda path: path.write_text(text, encoding="utf-8"),
-    }
+    }, {}
 
 
 def _write_outputs(out: Path, outputs: dict) -> None:
@@ -391,11 +404,11 @@ def main(argv: list[str] | None = None) -> int:
         missing = [p for p in inputs if not Path(p).exists()]
         if missing:
             raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
-        outputs = command(argparse.Namespace(**given))
+        outputs, hashes = command(argparse.Namespace(**given))
         outputs["provenance.json"] = partial(write_json, {
             "command": args.command,
             "parameters": dict(sorted(vars(args).items())),
-            "inputs": {p: _hash_tree(Path(p)) for p in sorted(set(inputs))},
+            "inputs": {p: hashes[p] if p in hashes else _sha256(Path(p)) for p in sorted(set(inputs))},
         })
         _write_outputs(Path(args.out), outputs)
         return EXIT_OK

@@ -5,13 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .normalize import read_text
-
 
 @dataclass(frozen=True)
 class Document:
+    """A document named ``path``: the UTF-8 file ``file``, or else the text ``raw_text``.
+
+    A file is read only when it is counted (``freq.count_document_words``);
+    ``raw_text`` is counted as a file holding ``raw_text.encode()`` would be.
+    """
     path: str
-    raw_text: str
+    raw_text: str | None = None
+    file: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -25,7 +29,10 @@ def document_paths(root: str | Path) -> list[Path]:
 
 
 def load_corpus(root: str | Path) -> CorpusSource:
-    """Load ``document_paths(root)`` in that order; no other file under ``root`` is read."""
+    """The file documents ``document_paths(root)``, in that order, each named by its path under ``root``.
+
+    No file is read here: a document that is not UTF-8 is an error when it is counted.
+    """
     root = Path(root)
     if not root.exists():
         raise ValueError(f"corpus directory not found: {root}")
@@ -34,8 +41,4 @@ def load_corpus(root: str | Path) -> CorpusSource:
     paths = document_paths(root)
     if not paths:
         raise ValueError(f"no .txt files under {root}")
-    documents = tuple(
-        Document(path=str(p.relative_to(root)), raw_text=read_text(p))
-        for p in paths
-    )
-    return CorpusSource(documents=documents)
+    return CorpusSource(documents=tuple(Document(path=str(p.relative_to(root)), file=p) for p in paths))

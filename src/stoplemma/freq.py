@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import re
 import unicodedata
 from collections import Counter
@@ -9,16 +11,32 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import CorpusSource, Document
 from .lemma import LemmaLexicon
-from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, scan_surfaces, write_json
+from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, read_text, scan_surfaces, write_json
 
-# Large documents are split in slices so no split() list holds the whole
-# token stream; each slice ends at whitespace to keep tokens whole.
-_CHUNK_CHARS = 1 << 18
-_SPACE = re.compile(r"\s")
+# A document is read in blocks of this many bytes, so that no token list
+# holds a whole document; each block is counted up to its last ASCII
+# whitespace byte, and the rest is carried into the next block.
+_BLOCK_BYTES = 1 << 18
+_ASCII_SPACES = b" \t\n\v\f\r"  # what bytes.split() cuts at; no UTF-8 multibyte sequence holds one
+_BOM = b"\xef\xbb\xbf"
+# The whitespace that str.split() cuts at and bytes.split() does not, UTF-8
+# encoded; each is rewritten to b" " before bytes.split(), so the tokens
+# counted are str.split()'s.  (The type pass would cut a token at one of
+# these anyway; the rewrite keeps the count of scanned tokens exact.)
+_WIDE_SPACES = frozenset(c.encode() for c in (
+    "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"))
+# Their first bytes, each with a regex of the sequences it begins.  A block
+# is searched for the byte first, and only a block that holds it runs the
+# regex, whose literal first byte its scan skips to.  No first byte is a
+# UTF-8 continuation byte, so on valid UTF-8 a match is a whole character.
+_WIDE_SPACE_BY_LEAD = tuple(
+    (lead, re.compile(b"|".join(re.escape(s) for s in sorted(_WIDE_SPACES) if s[:1] == lead)))
+    for lead in sorted({s[:1] for s in _WIDE_SPACES}))
 # a line of a "\n"-joined token list that PLAIN_WORD does not fullmatch
 _NOT_PLAIN = re.compile(f"^(?!{PLAIN_WORD.pattern}$).+$", re.M)
 
@@ -44,16 +62,50 @@ class RankedList:
         return len(self.entries)
 
 
-def _iter_chunks(text: str) -> Iterable[str]:
-    start = 0
-    while start < len(text):
-        space = _SPACE.search(text, start + _CHUNK_CHARS)
-        end = space.end() if space else len(text)
-        yield text[start:end]
-        start = end
+def _split(data: bytes) -> list[bytes]:
+    """The tokens that ``str.split()`` cuts the UTF-8 text ``data`` into, as bytes."""
+    for lead, space in _WIDE_SPACE_BY_LEAD:
+        if lead in data:
+            data = space.sub(b" ", data)
+    return data.split()
 
 
-def count_document_words(documents: Iterable[Document], policy: FilterPolicy = FilterPolicy()) -> Counter:
+def _block_tokens(stream: BinaryIO, digest) -> Iterator[list[bytes]]:
+    """``_split`` of a UTF-8 stream less a leading BOM, one token list per block; ``digest`` gets every byte.
+
+    A block is cut after its last ASCII whitespace byte, which ends a token and
+    no multibyte character; the bytes after it are carried into the next block.
+    The carry grows by appending while no whitespace comes, so a token longer
+    than a block costs no more than its length.
+    """
+    carry = bytearray()
+    first = True
+    while True:
+        block = stream.read(_BLOCK_BYTES)
+        digest.update(block)
+        cut = max(map(block.rfind, _ASCII_SPACES)) + 1
+        if block and not cut:
+            carry += block
+            continue
+        # at the end of the stream, block is empty and the carry is the last head
+        head = b"".join((carry, memoryview(block)[:cut]))
+        if first:
+            head, first = head.removeprefix(_BOM), False
+        yield _split(head)
+        if not block:
+            return
+        carry = bytearray(memoryview(block)[cut:])
+
+
+def count_document_words(documents: Iterable[Document], policy: FilterPolicy = FilterPolicy(),
+                         digests: list[str] | None = None) -> Counter:
+    """The kept surfaces of ``documents`` and their counts; ``digests`` gets each document's SHA-256 hex digest.
+
+    Each document is read once, in blocks, and its whitespace tokens are
+    counted as bytes.  The distinct tokens are decoded in one call; if that
+    fails, the first file document that is not UTF-8 is named as
+    ``normalize.read_text`` names it.
+    """
     # Count whitespace tokens first, then turn each distinct one into kept
     # surfaces, weighted by its count: that work scales with the vocabulary,
     # not the token count.  A plain Devanagari token (see PLAIN_WORD) is
@@ -64,16 +116,40 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
     # and scanning the whole text because every whitespace character is an
     # NFC starter that composes with nothing, NFC maps no other character to
     # whitespace, and str.split() and re's \s agree on what whitespace is.
-    # The tokens that are not plain are found in one pass over the tokens
-    # joined by "\n", which no str.split() token holds.  Each leaves `tokens`
-    # before any kept surface is added back, so no surface is taken for an
-    # unscanned token.
-    tokens: Counter = Counter()
+    # A file decodes exactly when each of its tokens does, since whitespace
+    # is whole characters.  The tokens that are not plain are found in one
+    # pass over the tokens joined by "\n", which no token holds.  Each leaves
+    # `tokens` before any kept surface is added back, so no surface is taken
+    # for an unscanned token.
+    byte_tokens: Counter = Counter()
+    files = []
     for doc in documents:
-        for chunk in _iter_chunks(doc.raw_text):
-            tokens.update(chunk.split())
+        if doc.raw_text is None:
+            files.append(doc.file)
+            stream = open(doc.file, "rb")
+        else:
+            stream = io.BytesIO(doc.raw_text.encode())
+        digest = hashlib.sha256()
+        with stream:
+            for block in _block_tokens(stream, digest):
+                byte_tokens.update(block)
+        if digests is not None:
+            digests.append(digest.hexdigest())
+    joined, counts = b"\n".join(byte_tokens), list(byte_tokens.values())
+    del byte_tokens  # freed before the text is decoded
+    try:
+        text = joined.decode()
+    except UnicodeDecodeError:
+        for path in files:
+            read_text(path)
+        raise ValueError("a corpus document changed while it was counted") from None
+    del joined
+    tokens: Counter = Counter()
+    dict.update(tokens, zip(text.split("\n"), counts))  # Counter.update would count each pair as an item
+    not_plain = _NOT_PLAIN.findall(text)
+    del text, counts
     rest: Counter = Counter()
-    for token in _NOT_PLAIN.findall("\n".join(tokens)):
+    for token in not_plain:
         n = tokens.pop(token)
         for surface in scan_surfaces(unicodedata.normalize("NFC", token)):
             rest[surface] += n
@@ -90,8 +166,9 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
     return merged
 
 
-def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy()) -> FrequencyTable:
-    return FrequencyTable(counts=count_document_words(corpus.documents, policy))
+def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy(),
+                digests: list[str] | None = None) -> FrequencyTable:
+    return FrequencyTable(counts=count_document_words(corpus.documents, policy, digests))
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:

@@ -2,9 +2,12 @@
 
 Counting and lexicon lookup assume NFC text: ``read_records`` normalizes each
 line of a record file, ``freq.count_document_words`` each distinct corpus
-token that ``PLAIN_WORD`` (already NFC) does not match.  Every input file is
-decoded here, as UTF-8 less a leading BOM, by ``read_text``, and split into
-lines by ``split_lines``; ``write_json`` writes every JSON output.
+token that ``PLAIN_WORD`` (already NFC) does not match.  Every record file
+and config file is decoded here, as UTF-8 less a leading BOM, by
+``read_text``, and split into lines by ``split_lines``.  Corpus documents are
+read in blocks and counted as bytes by ``freq.count_document_words``, which
+decodes the distinct tokens and, for a document that is not UTF-8, raises
+``read_text``'s error.  ``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import builtins
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -842,6 +845,23 @@ class TestInduceCountsEachCorpusInAWorkerProcess:
         assert self.run_on(2, [*argv, "--out", tmp_path / "out"], monkeypatch) == 1
         assert len(read_loads(tmp_path / "loads.log")) < 9
 
+    def test_a_worker_that_dies_exits_1_with_one_error_line(self, tmp_path, monkeypatch, capsys, demo_args):
+        parent = os.getpid()
+
+        def die(*args, **kwargs):  # as a worker ends that the out-of-memory killer stops
+            assert os.getpid() != parent, "a corpus was counted in-process"
+            os._exit(3)
+
+        # forked workers inherit the patch, as they inherit log_corpus_loads's
+        monkeypatch.setattr(corpus_mod, "load_corpus", die)
+        corpora = self.demo_corpora(tmp_path / "in")[:4]  # two corpora
+        argv = ["induce", "--stoplist", demo_args["stoplists"][0], *corpora, "--out", tmp_path / "out"]
+        assert self.run_on(2, argv, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process counting the corpora died: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("option, source", [
     *((option, source) for option in ("lexicon", "out", "pos-lexicon", "mapping", "list")
@@ -1012,6 +1032,42 @@ def test_corpus_hash_covers_only_its_documents(tmp_path):
     assert json.loads(provenance())["inputs"] == json.loads(first)["inputs"]
     (corpus / "extra.txt").write_text("घर\n", encoding="utf-8")
     assert json.loads(provenance())["inputs"] != json.loads(first)["inputs"]
+
+
+@pytest.mark.parametrize("command", ["freq", "induce"])
+def test_each_corpus_document_is_opened_once(tmp_path, monkeypatch, demo_args, command):
+    # induce counts in-process on one usable CPU, where this process sees the opens
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    nested = tmp_path / "nested"
+    (nested / "sub").mkdir(parents=True)
+    (nested / "a.txt").write_text("घर है\n", encoding="utf-8")
+    (nested / "sub" / "b.txt").write_bytes(b"\xef\xbb\xbf" + "का है\n".encode())
+    corpora = [data_path("demo_corpus"), nested]
+    opens, real_open = Counter(), io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opens[Path(os.fsdecode(file)).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    # open() for the builtin name, io.open for pathlib
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    stoplist = ["--stoplist", demo_args["stoplists"][0]] if command == "induce" else []
+    out = tmp_path / "out"
+    assert run([command, *stoplist, *(a for i, c in enumerate(corpora) for a in ("--corpus", f"c{i}={c}")),
+                "--out", out]) == 0
+    documents = {root: sorted(root.rglob("*.txt")) for root in corpora}
+    assert {p: opens[p.resolve()] for docs in documents.values() for p in docs} == \
+        {p: 1 for docs in documents.values() for p in docs}
+    monkeypatch.undo()
+    inputs = json.loads((out / "provenance.json").read_text())["inputs"]
+    for root, docs in documents.items():
+        h = hashlib.sha256()
+        for p in docs:
+            h.update(os.fsencode(p.relative_to(root)))
+            h.update(hashlib.sha256(p.read_bytes()).hexdigest().encode())
+        assert inputs[str(root)] == h.hexdigest()
 
 
 def test_corpus_hash_takes_a_document_name_that_is_not_utf8_as_its_bytes(tmp_path):

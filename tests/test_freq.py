@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import re
 import random
+import sys
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stoplemma import freq
-from stoplemma.corpus import CorpusSource, Document
+from stoplemma.corpus import CorpusSource, Document, load_corpus
 from stoplemma.freq import (
     count_document_words,
     count_words,
@@ -218,13 +221,25 @@ COUNTING_ALPHABET = (
 POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
 
 
-@pytest.mark.parametrize("chunk_chars", [freq._CHUNK_CHARS, 3], ids=["default-chunks", "3-char-chunks"])
+def policy_of(flags):
+    symbols, latin_words, latin_numbers, devanagari_digits = flags
+    return FilterPolicy(keep_symbols=not symbols, keep_latin_words=not latin_words,
+                        keep_latin_numbers=not latin_numbers, drop_devanagari_digits=devanagari_digits)
+
+
+def expected_counts(texts, policy):
+    """The reference: every text normalized whole, tokenized and filtered."""
+    return sum((Counter(t.surface for t in filter_tokens(tokenize(normalize_text(text)), policy))
+                for text in texts), Counter())
+
+
+@pytest.mark.parametrize("block_bytes", [freq._BLOCK_BYTES, 3], ids=["default-chunks", "3-char-chunks"])
 @pytest.mark.parametrize("flags", POLICY_FLAGS, ids=[
     "drop-" + ("".join(n for n, drop in zip("SWND", f) if drop) or "none") for f in POLICY_FLAGS])
 @settings(max_examples=40, deadline=None)
 @given(raws=st.lists(st.text(alphabet=COUNTING_ALPHABET, max_size=60), min_size=1, max_size=3))
-# with 3-char chunks the first cut falls inside the whitespace run; the
-# second example has no whitespace, so it is one chunk of one token
+# with 3-byte blocks the first cut falls inside the whitespace run; the
+# second example has no whitespace, so it is one carry of one token
 @example(raws=["घर \u2000\u3000\t\u0085  \u0301a, है"])
 @example(raws=["क\u093cि।१2#a\u0301,घर" * 4])
 # one surface reached through different tokens in different documents, a
@@ -237,15 +252,12 @@ POLICY_FLAGS = list(itertools.product([True, False], repeat=4))
 @example(raws=["\u0915\u094d\u0951 क्", "\u0915\u0951\u094d"])
 @example(raws=["घर है", "घर। है॥", "।घर"])
 @example(raws=["घर\u00a0\u0929", "\u0928\u093c\u00a0घर"])
-def test_counting_matches_tokenize_pipeline(flags, chunk_chars, raws):
-    symbols, latin_words, latin_numbers, devanagari_digits = flags
-    policy = FilterPolicy(keep_symbols=not symbols, keep_latin_words=not latin_words,
-                          keep_latin_numbers=not latin_numbers, drop_devanagari_digits=devanagari_digits)
-    expected = sum((Counter(t.surface for t in filter_tokens(tokenize(normalize_text(raw)), policy))
-                    for raw in raws), Counter())
+def test_counting_matches_tokenize_pipeline(flags, block_bytes, raws):
+    policy = policy_of(flags)
+    expected = expected_counts(raws, policy)
     docs = [Document(path=f"{i}.txt", raw_text=raw) for i, raw in enumerate(raws)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(freq, "_CHUNK_CHARS", chunk_chars)
+        mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
         assert count_document_words(docs, policy) == expected
 
 
@@ -262,9 +274,65 @@ def test_reordered_stress_mark_is_normalized():
 
 
 def test_chunking_never_cuts_a_run(monkeypatch):
-    monkeypatch.setattr(freq, "_CHUNK_CHARS", 8)
+    monkeypatch.setattr(freq, "_BLOCK_BYTES", 8)
     doc = Document(path="d.txt", raw_text="घर " + "क" * 20 + " है")
     assert count_document_words([doc]) == {"घर": 1, "क" * 20: 1, "है": 1}
+
+
+# every character that str.split() cuts at
+ISSPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# The pieces of a document file: every whitespace character and CRLF;
+# Devanagari letters, a matra, the virama, the nukta, a precomposed nukta
+# letter and a composition exclusion, a danda and a digit; ZWNJ and ZWJ;
+# curly quotes and dashes; a Latin letter, an ASCII digit and a sign.
+FILE_PIECES = [*ISSPACE, "\r\n", "क", "न", "ि", "\u094d", "\u093c", "\u0929", "\u0958", "।", "१",
+               "\u200c", "\u200d", "\u2018", "\u2019", "\u201c", "\u201d", "\u2013", "\u2014", "a", "7", "#"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=st.lists(st.tuples(st.booleans(), st.lists(st.sampled_from(FILE_PIECES), max_size=40).map("".join)),
+                     min_size=1, max_size=3),
+       block_bytes=st.integers(1, 8) | st.just(freq._BLOCK_BYTES),
+       flags=st.sampled_from(POLICY_FLAGS))
+# a token of 90 bytes, many blocks long
+@example(docs=[(False, "घर " + "क" * 30 + " है")], block_bytes=4, flags=POLICY_FLAGS[-1])
+# no ASCII whitespace at all, and a BOM that two blocks split
+@example(docs=[(True, "घर\u3000है\u00a0क\u2028\u201cख\u201d\x1c\u0928\u093c")], block_bytes=2,
+         flags=POLICY_FLAGS[0])
+def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, docs, block_bytes, flags):
+    # each (bom, text) is a file of text's UTF-8 bytes, after a BOM if bom is true
+    root = tmp_path_factory.mktemp("corpus")
+    for i, (bom, text) in enumerate(docs):
+        (root / f"{i}.txt").write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+    policy = policy_of(flags)
+    scanned, digests = [], []
+
+    class ScanCounter(Counter):  # records the token lists that counting hands to update
+        def update(self, iterable=None, /, **kwds):
+            if isinstance(iterable, list):
+                scanned.extend(iterable)
+            super().update(iterable, **kwds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(freq, "Counter", ScanCounter)
+        assert count_document_words(load_corpus(root).documents, policy, digests) == \
+            expected_counts([text for _, text in docs], policy)
+    # the scanned tokens are those of str.split(), so a count of them is exact
+    assert scanned == [token.encode() for _, text in docs for token in text.split()]
+    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.glob("*.txt"))]
+
+
+def test_a_token_longer_than_many_blocks_costs_its_length(tmp_path, monkeypatch):
+    # The carry grows by appending: 65536 blocks of a 8 MiB token take well
+    # under a second.  Copying the carry for every block would copy 256 GiB.
+    monkeypatch.setattr(freq, "_BLOCK_BYTES", 128)
+    (tmp_path / "a.txt").write_bytes(b"a" * (8 << 20) + b" b")
+    keep_latin = FilterPolicy(keep_latin_words=True)
+    start = time.perf_counter()
+    counts = count_document_words(load_corpus(tmp_path).documents, keep_latin)
+    assert time.perf_counter() - start < 10
+    assert counts == {"a" * (8 << 20): 1, "b": 1}
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoplemma.assess import load_mapping
 from stoplemma.corpus import load_corpus
-from stoplemma.freq import read_ranked_tsv
+from stoplemma.freq import count_words, read_ranked_tsv
 from stoplemma.induce import load_stopword_list
 from stoplemma.lemma import load_lexicon
 from stoplemma.normalize import (
@@ -246,7 +246,8 @@ def test_split_lines_equals_a_universal_newline_reader(text):
 
 
 LOADERS = {
-    "load_corpus": lambda path: load_corpus(path.parent),
+    # a corpus document is decoded as it is counted
+    "load_corpus": lambda path: count_words(load_corpus(path.parent)),
     "load_lexicon": load_lexicon,
     "load_stopword_list": load_stopword_list,
     "load_mapping": load_mapping,

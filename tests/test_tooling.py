@@ -116,6 +116,16 @@ def test_every_error_class_is_caught_by_name():
     assert {"ComputeError", "UndefinedCorrelationError"} <= defined
 
 
+def test_the_rewritten_whitespace_is_what_str_split_cuts_at_and_bytes_split_does_not():
+    # freq counts bytes.split() tokens after rewriting these to b" ", so a
+    # Python whose str.isspace() grows fails here instead of miscounting
+    from stoplemma import freq
+
+    wide = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()} - set(" \t\n\v\f\r")
+    assert freq._WIDE_SPACES == {c.encode() for c in wide}
+    assert [b for b in range(256) if len(bytes([97, b, 97]).split()) == 2] == sorted(b" \t\n\v\f\r")
+
+
 def test_no_unused_import_in_src():
     # A module-level import whose bound name the module never loads is left
     # over from deleted code.
