@@ -8,14 +8,9 @@ from pathlib import Path
 
 @dataclass(frozen=True)
 class Document:
-    """A document named ``path``: the UTF-8 file ``file``, or else the text ``raw_text``.
-
-    A file is read only when it is counted (``freq.count_document_words``);
-    ``raw_text`` is counted as a file holding ``raw_text.encode()`` would be.
-    """
+    """The UTF-8 file ``file``, named ``path``; it is read only when it is counted (``freq.count_document_words``)."""
     path: str
-    raw_text: str | None = None
-    file: Path | None = None
+    file: Path
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import re
 import unicodedata
 from collections import Counter
@@ -103,7 +102,7 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
 
     Each document is read once, in blocks, and its whitespace tokens are
     counted as bytes.  The distinct tokens are decoded in one call; if that
-    fails, the first file document that is not UTF-8 is named as
+    fails, the first document that is not UTF-8 is named as
     ``normalize.read_text`` names it.
     """
     # Count whitespace tokens first, then turn each distinct one into kept
@@ -122,15 +121,10 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
     # `tokens` before any kept surface is added back, so no surface is taken
     # for an unscanned token.
     byte_tokens: Counter = Counter()
-    files = []
-    for doc in documents:
-        if doc.raw_text is None:
-            files.append(doc.file)
-            stream = open(doc.file, "rb")
-        else:
-            stream = io.BytesIO(doc.raw_text.encode())
+    files = [doc.file for doc in documents]
+    for file in files:
         digest = hashlib.sha256()
-        with stream:
+        with open(file, "rb") as stream:
             for block in _block_tokens(stream, digest):
                 byte_tokens.update(block)
         if digests is not None:

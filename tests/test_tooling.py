@@ -21,9 +21,6 @@ DERIVED_LAYERS = re.compile(r"\w+\.self_s|cli\.cpu_s|\w+\.import_s|stats\.write_
 
 # Public names that need no caller in src/, each with the reason it stays.
 NO_SRC_CALLER = {
-    "normalize.tokenize": "criterion-6/7 reference path",
-    "normalize.filter_tokens": "criterion-6/7 reference path",
-    "normalize.normalize_text": "criterion-6/7 reference path",
     "__init__.data_path": "bundled-data API",
     "stats.point_biserial": "criterion-2 reference",
 }
