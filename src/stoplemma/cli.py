@@ -348,9 +348,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     pairs = []  # the config's top-level key-value pairs, each repeat included
     if args.config:
         objects = []  # every object's pairs, innermost first, so the top-level object's come last
+        text = read_text(args.config)  # its errors name the file already
         try:
-            config = json.loads(read_text(args.config),
-                                object_pairs_hook=lambda p: objects.append(p) or dict(p))
+            config = json.loads(text, object_pairs_hook=lambda p: objects.append(p) or dict(p))
         except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
             raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):

@@ -15,7 +15,9 @@ tokens and, for a document that is not UTF-8, raises ``read_text``'s error.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -101,8 +103,16 @@ def split_lines(text: str) -> list[str]:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text less a leading BOM; a ``ValueError`` names a bad byte's line and file offset."""
-    data = Path(path).read_bytes()
+    """A UTF-8 file's text less a leading BOM; a ``ValueError`` names a bad byte's line and file offset.
+
+    Anything but a regular file, such as a FIFO or a device, is a ``ValueError``
+    naming it.  The file is opened without blocking, as opening a FIFO would
+    otherwise wait for a writer before the check could run.
+    """
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        data = fh.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:

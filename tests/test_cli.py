@@ -916,6 +916,24 @@ class TestUnreadableInputs:
         assert str(folder) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("option", ["--lexicon", "--config", "--ranked"])
+    def test_a_fifo_as_input_file_exits_1(self, tmp_path, demo_args, option):
+        # opening a FIFO for reading waits for a writer, so the run is a process with a timeout
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        argv = {
+            "--lexicon": ["freq", "--corpus", demo_args["corpus"], "--lexicon", fifo],
+            "--config": ["--config", fifo, "freq", "--corpus", demo_args["corpus"]],
+            "--ranked": ["overlap", "--ranked", demo_args["ranked"][0], "--ranked", f"f={fifo}"],
+        }[option]
+        src = Path(stoplemma.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "stoplemma.cli", *map(str, argv), "--out", str(tmp_path / "out")],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {fifo}: not a regular file\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["lexicon", "stoplist", "ranked", "pos-lexicon",
                                       "mapping", "list"])
     def test_invalid_utf8_names_path_and_line(self, tmp_path, capsys, demo_args, kind):
