@@ -22,7 +22,6 @@ import tempfile
 import threading
 from dataclasses import fields
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 from . import assess as assess_mod
@@ -100,18 +99,9 @@ def _sha256(path: Path) -> str:
 
 
 def _count_corpus(path: str, policy: FilterPolicy) -> tuple[freq_mod.FrequencyTable, str]:
-    """A corpus's word table and its SHA-256 for ``provenance.json``, from one read of each document.
-
-    The corpus's hash is taken over each document in turn: its path under the
-    corpus folder, ``os.fsencode``d, then the hex SHA-256 of its bytes.
-    """
-    corpus, digests = corpus_mod.load_corpus(path), []
-    words = freq_mod.count_words(corpus, policy, digests)
+    """A corpus's word table and its hash (defined at ``freq.count_document_words``), from one read of each document."""
     h = hashlib.sha256()
-    for doc, digest in zip(corpus.documents, digests):
-        h.update(os.fsencode(doc.path))
-        h.update(digest.encode())
-    return words, h.hexdigest()
+    return freq_mod.count_words(corpus_mod.load_corpus(path), policy, h), h.hexdigest()
 
 
 def _policy_from_args(args) -> FilterPolicy:
@@ -177,9 +167,9 @@ def cmd_induce(args) -> tuple[dict, dict]:
         cpus = os.cpu_count() or 1
     workers = min(len(args.corpus), cpus) if threading.active_count() == 1 and hasattr(os, "fork") else 1
     paths = [path for _, path in args.corpus]
-    tasks = (paths, repeat(policy), repeat(lex))
+    count = partial(_corpus_lemma_counts, policy=policy, lex=lex)
     if workers == 1:
-        counted = list(map(_corpus_lemma_counts, *tasks))
+        counted = list(map(count, paths))
     else:
         # imported here, so that no other subcommand's start-up pays for them
         import multiprocessing
@@ -188,7 +178,7 @@ def cmd_induce(args) -> tuple[dict, dict]:
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            counted = list(pool.map(_corpus_lemma_counts, *tasks))
+            counted = list(pool.map(count, paths))
         except BrokenProcessPool as exc:  # a worker was killed, as by the out-of-memory killer
             raise OSError(f"a worker process counting the corpora died: {exc}") from None
         finally:

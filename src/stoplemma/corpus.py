@@ -8,7 +8,7 @@ from pathlib import Path
 
 @dataclass(frozen=True)
 class Document:
-    """The UTF-8 file ``file``, named ``path``; it is read only when it is counted (``freq.count_document_words``)."""
+    """The UTF-8 file ``file``, named ``path``; read and hashed only when counted (``freq.count_document_words``)."""
     path: str
     file: Path
 
@@ -18,13 +18,8 @@ class CorpusSource:
     documents: tuple[Document, ...]
 
 
-def document_paths(root: str | Path) -> list[Path]:
-    """A corpus's documents: every ``*.txt`` file under ``root``, sorted."""
-    return sorted(p for p in Path(root).rglob("*.txt") if p.is_file())
-
-
 def load_corpus(root: str | Path) -> CorpusSource:
-    """The file documents ``document_paths(root)``, in that order, each named by its path under ``root``.
+    """A corpus's documents: every ``*.txt`` file under ``root``, sorted, each named by its path under ``root``.
 
     No file is read here: a document that is not UTF-8 is an error when it is counted.
     """
@@ -33,7 +28,7 @@ def load_corpus(root: str | Path) -> CorpusSource:
         raise ValueError(f"corpus directory not found: {root}")
     if not root.is_dir():
         raise ValueError(f"corpus path is not a directory: {root}")
-    paths = document_paths(root)
+    paths = sorted(p for p in root.rglob("*.txt") if p.is_file())
     if not paths:
         raise ValueError(f"no .txt files under {root}")
     return CorpusSource(documents=tuple(Document(path=str(p.relative_to(root)), file=p) for p in paths))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import unicodedata
 from collections import Counter
@@ -77,8 +78,9 @@ def _block_tokens(stream: BinaryIO, digest) -> Iterator[list[bytes]]:
     The carry grows by appending while no whitespace comes, so a token longer
     than a block costs no more than its length.
     """
-    carry = bytearray()
-    first = True
+    head = stream.read(len(_BOM))
+    digest.update(head)
+    carry = bytearray(head.removeprefix(_BOM))
     while True:
         block = stream.read(_BLOCK_BYTES)
         digest.update(block)
@@ -88,8 +90,6 @@ def _block_tokens(stream: BinaryIO, digest) -> Iterator[list[bytes]]:
             continue
         # at the end of the stream, block is empty and the carry is the last head
         head = b"".join((carry, memoryview(block)[:cut]))
-        if first:
-            head, first = head.removeprefix(_BOM), False
         yield _split(head)
         if not block:
             return
@@ -97,13 +97,17 @@ def _block_tokens(stream: BinaryIO, digest) -> Iterator[list[bytes]]:
 
 
 def count_document_words(documents: Iterable[Document], policy: FilterPolicy = FilterPolicy(),
-                         digests: list[str] | None = None) -> Counter:
-    """The kept surfaces of ``documents`` and their counts; ``digests`` gets each document's SHA-256 hex digest.
+                         corpus_hash=None) -> Counter:
+    """The kept surfaces of ``documents`` and their counts; ``corpus_hash`` gets their corpus hash.
 
     Each document is read once, in blocks, and its whitespace tokens are
     counted as bytes.  The distinct tokens are decoded in one call; if that
     fails, the first document that is not UTF-8 is named as
     ``normalize.read_text`` names it.
+
+    The corpus hash, a corpus's hash in ``provenance.json``, is a SHA-256
+    (``corpus_hash``, from ``hashlib.sha256()``) over each document in turn,
+    as it is read: its ``path``, ``os.fsencode``d, then the hex SHA-256 of its bytes.
     """
     # Count whitespace tokens first, then turn each distinct one into kept
     # surfaces, weighted by its count: that work scales with the vocabulary,
@@ -121,21 +125,22 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
     # `tokens` before any kept surface is added back, so no surface is taken
     # for an unscanned token.
     byte_tokens: Counter = Counter()
-    files = [doc.file for doc in documents]
-    for file in files:
+    documents = list(documents)
+    for doc in documents:
         digest = hashlib.sha256()
-        with open(file, "rb") as stream:
+        with open(doc.file, "rb") as stream:
             for block in _block_tokens(stream, digest):
                 byte_tokens.update(block)
-        if digests is not None:
-            digests.append(digest.hexdigest())
+        if corpus_hash is not None:
+            corpus_hash.update(os.fsencode(doc.path))
+            corpus_hash.update(digest.hexdigest().encode())
     joined, counts = b"\n".join(byte_tokens), list(byte_tokens.values())
     del byte_tokens  # freed before the text is decoded
     try:
         text = joined.decode()
     except UnicodeDecodeError:
-        for path in files:
-            read_text(path)
+        for doc in documents:
+            read_text(doc.file)
         raise ValueError("a corpus document changed while it was counted") from None
     del joined
     tokens: Counter = Counter()
@@ -161,8 +166,8 @@ def merge_counts(tables: Iterable[Mapping[str, int]]) -> Counter:
 
 
 def count_words(corpus: CorpusSource, policy: FilterPolicy = FilterPolicy(),
-                digests: list[str] | None = None) -> FrequencyTable:
-    return FrequencyTable(counts=count_document_words(corpus.documents, policy, digests))
+                corpus_hash=None) -> FrequencyTable:
+    return FrequencyTable(counts=count_document_words(corpus.documents, policy, corpus_hash))
 
 
 def lemma_table(words: FrequencyTable, lex: LemmaLexicon) -> FrequencyTable:

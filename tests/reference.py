@@ -5,7 +5,8 @@ is NFC-normalized whole and its whitespace runs collapsed, then it is
 tokenized and filtered; counts are plain ``Counter``s, a lemma is a
 ``dict.get`` and ranking is one ``sorted`` call.  ``freq_outputs`` and
 ``induce_outputs`` build every output file of their subcommand but
-``provenance.json``, as bytes.
+``provenance.json``, as bytes, and so do ``overlap_outputs`` and
+``assess_outputs``.
 
 ``normalize_text``, ``tokenize`` and ``filter_tokens`` are the tokenizer
 spec, kept here only: the toolkit counts a corpus on bytes, in
@@ -57,6 +58,11 @@ def word_counts(texts: list[str], policy: FilterPolicy) -> Counter:
     for text in texts:
         counts.update(t.surface for t in filter_tokens(tokenize(normalize_text(text)), policy))
     return counts
+
+
+def lemmatize(phrase: str, lexicon: dict[str, str]) -> str:
+    """Each whitespace-separated word of ``phrase`` looked up once, joined by single spaces."""
+    return " ".join(lexicon.get(w, w) for w in phrase.split())
 
 
 def lemma_counts(words: Counter, lexicon: dict[str, str]) -> Counter:
@@ -114,8 +120,7 @@ def induce_outputs(stoplists: list[list[str]], corpora: list[list[str]], lexicon
     A ∩ B ranked by the lemmas' counts summed over the corpora.
     """
     lists = [stoplist_entries(lines) for lines in stoplists]
-    set_a = {" ".join(lexicon.get(w, w) for w in entry.split())
-             for entries in lists for entry in list(dict.fromkeys(entries))[:k_a]}
+    set_a = {lemmatize(entry, lexicon) for entries in lists for entry in list(dict.fromkeys(entries))[:k_a]}
     tables = [lemma_counts(word_counts(texts, policy), lexicon) for texts in corpora]
     set_b = {lemma for table in tables for lemma, _ in ranked(table)[:k_b]}
     total: Counter = Counter()
@@ -130,5 +135,55 @@ def induce_outputs(stoplists: list[list[str]], corpora: list[list[str]], lexicon
             "set_a_size": len(set_a),
             "set_b_size": len(set_b),
             "final_size": len(final),
+        }),
+    }
+
+
+def overlap_outputs(lists: dict[str, list[str]], k: int) -> dict[str, bytes]:
+    """``overlap``'s files for ``lists``, each ID's distinct items in rank order.
+
+    An item's count is the number of lists that hold it among their first ``k``.
+    """
+    tops = [items[:k] for items in lists.values()]
+    counts = Counter({item: sum(item in top for top in tops) for top in tops for item in top})
+    return {
+        "overlap.tsv": tsv(counts),
+        "overlap_report.json": json_bytes({
+            "k": k,
+            "source_count": len(lists),
+            "unique_items": len(counts),
+            "max_count": max(counts.values(), default=0),
+            "short_sources": [ident for ident, items in lists.items() if len(items) < k],
+        }),
+    }
+
+
+def assess_outputs(mapping: dict[str, list[str] | None], reference_list: list[str],
+                   lexicon: dict[str, str]) -> dict[str, bytes]:
+    """``assess``'s files for ``mapping``, each external word's target phrases (None for ``!``).
+
+    ``reference_list`` holds the lines of the stop-lemma list.  The mapped
+    lemmas are the lemmatized targets; a hit is one the list holds.
+    """
+    mapped = {lemmatize(target, lexicon) for targets in mapping.values() for target in targets or ()}
+    hits = mapped & set(stoplist_entries(reference_list))
+    misses = sorted(mapped - hits)
+    untranslatable = sum(targets is None for targets in mapping.values())
+    coverage = f"{len(hits)}/{len(mapped)} = {len(hits) / len(mapped):.4f}" if mapped else "undefined"
+    text = (f"external words: {len(mapping)} ({untranslatable} untranslatable)\n"
+            f"mapped lemmas: {len(mapped)}\n"
+            f"present in stop-lemma list: {len(hits)}\n"
+            f"absent: {len(misses)}" + (f" ({', '.join(misses)})" if misses else "") + "\n"
+            f"coverage: {coverage}\n")
+    return {
+        "coverage.txt": text.encode(),
+        "coverage.json": json_bytes({
+            "external_total": len(mapping),
+            "untranslatable_count": untranslatable,
+            "mapped_lemma_count": len(mapped),
+            "hit_count": len(hits),
+            "miss_count": len(misses),
+            "misses": misses,
+            "coverage_ratio": len(hits) / len(mapped) if mapped else None,
         }),
     }

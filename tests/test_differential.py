@@ -1,4 +1,7 @@
-"""Whole output trees of ``freq`` and ``induce`` against the reference model in ``reference.py``."""
+"""Whole output trees of ``freq``, ``induce``, ``overlap`` and ``assess`` against the reference model.
+
+The model is in ``reference.py``.
+"""
 
 import os
 from dataclasses import fields
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from stoplemma import freq
 from stoplemma.cli import main
+from stoplemma.normalize import FilterPolicy
 from test_freq import COUNTING_ALPHABET, ISSPACE, POLICY_FLAGS, policy_of
 
 # NFC words that the lexicons and stop lists are made of and that documents
@@ -84,3 +88,67 @@ def test_freq_and_induce_trees_equal_the_reference_model(tmp_path_factory, block
     assert outputs(root / "freq") == reference.freq_outputs(texts, lexicon, policy)
     assert outputs(root / "induce") == reference.induce_outputs(
         [lines for _, _, lines in stoplists], list(texts.values()), lexicon, policy, k_a, k_b)
+
+
+# a ranked list is either a table that the reference ranks, or freq's word
+# table of a corpus of 1–2 documents
+ranked_sources = st.lists(
+    st.dictionaries(st.sampled_from([*WORDS, "#", "a", "7"]), st.integers(0, 5), max_size=6)
+    | st.lists(documents, min_size=1, max_size=2),
+    min_size=2, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources=ranked_sources, k=st.integers(1, 4))
+# a list shorter than k, an empty one and one that freq wrote, which meet in क and घर
+@example(sources=[{"क": 3, "घर": 1}, {}, [(True, "घर क\r\nक खा")]], k=3)
+def test_overlap_tree_equals_the_reference_model(tmp_path_factory, sources, k):
+    root = tmp_path_factory.mktemp("run")
+    ranked_args, lists = [], {}
+    for i, source in enumerate(sources):
+        folder = root / f"r{i}"
+        folder.mkdir()
+        if isinstance(source, dict):
+            path, counts = folder / "ranked.tsv", source
+            path.write_bytes(reference.tsv(source))
+        else:
+            corpus_args, texts = write_corpora(folder, [source])
+            assert main(["freq", *corpus_args, "--out", str(folder / "freq")]) == 0
+            path, counts = folder / "freq" / "words_c0.tsv", reference.word_counts(texts["c0"], FilterPolicy())
+        ranked_args += ["--ranked", f"r{i}={path}"]
+        lists[f"r{i}"] = [item for item, _ in reference.ranked(counts)]
+
+    assert main(["overlap", *ranked_args, "--k", str(k), "--out", str(root / "overlap")]) == 0
+    assert outputs(root / "overlap") == reference.overlap_outputs(lists, k)
+
+
+# each external word's target phrases, or None for a `!` line
+mappings = st.dictionaries(st.sampled_from(["the", "a", "of", "is"]),
+                           st.none() | st.lists(phrases, min_size=1, max_size=3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapping=mappings, lexicon=lexicons, reference_list=stoplists_st.map(lambda lists: lists[0]),
+       sep=st.sampled_from([",", ", ", " ,"]), before=noise, repeat=st.booleans())
+# a `!` line, a multi-target line lemmatized through a chain of entries (the
+# lemma of कन is क, itself an entry, yet a word is looked up once), and a
+# target whose words an NBSP separates
+@example(mapping={"the": None, "of": ["कन", "घर\u00a0है", "खा"], "is": ["क"]},
+         lexicon={"कन": "क", "क": "खा"}, reference_list=(True, False, ["क", "# सूची", "घर है"]),
+         sep=", ", before="", repeat=True)
+def test_assess_tree_equals_the_reference_model(tmp_path_factory, mapping, lexicon, reference_list, sep,
+                                                before, repeat):
+    root = tmp_path_factory.mktemp("run")
+    lex = root / "lexicon.tsv"
+    lex.write_text("".join(f"{surface}\t{lemma}\n" for surface, lemma in lexicon.items()), encoding="utf-8")
+    lines = [before, *(f"{word}\t{'!' if targets is None else sep.join(targets)}"
+                       for word, targets in mapping.items())]
+    if repeat:  # an identical line may repeat
+        lines.append(lines[-1])
+    (root / "mapping.tsv").write_text("\n".join(lines), encoding="utf-8")
+    bom, crlf, list_lines = reference_list
+    (root / "list.txt").write_bytes(b"\xef\xbb\xbf" * bom + ("\r\n" if crlf else "\n").join(list_lines).encode())
+
+    assert main(["assess", "--mapping", str(root / "mapping.tsv"), "--list", str(root / "list.txt"),
+                 "--lexicon", str(lex), "--out", str(root / "assess")]) == 0
+    assert outputs(root / "assess") == reference.assess_outputs(mapping, list_lines, lexicon)

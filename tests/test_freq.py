@@ -305,13 +305,17 @@ FILE_PIECES = [*ISSPACE, "\r\n", "क", "न", "ि", "\u094d", "\u093c", "\u092
 # no ASCII whitespace at all, and a BOM that two blocks split
 @example(docs=[(True, "घर\u3000है\u00a0क\u2028\u201cख\u201d\x1c\u0928\u093c")], block_bytes=2,
          flags=POLICY_FLAGS[0])
+# after the first read of a BOM's length: a file that is only a BOM, one
+# shorter than a BOM and one whose BOM is followed at once by whitespace
+@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=1, flags=POLICY_FLAGS[-1])
+@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=2, flags=POLICY_FLAGS[-1])
 def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, docs, block_bytes, flags):
     # each (bom, text) is a file of text's UTF-8 bytes, after a BOM if bom is true
     root = tmp_path_factory.mktemp("corpus")
     for i, (bom, text) in enumerate(docs):
         (root / f"{i}.txt").write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
     policy = policy_of(flags)
-    scanned, digests = [], []
+    scanned, corpus_hash = [], hashlib.sha256()
 
     class ScanCounter(Counter):  # records the token lists that counting hands to update
         def update(self, iterable=None, /, **kwds):
@@ -322,11 +326,16 @@ def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, do
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
         mp.setattr(freq, "Counter", ScanCounter)
-        assert count_document_words(load_corpus(root).documents, policy, digests) == \
+        assert count_document_words(load_corpus(root).documents, policy, corpus_hash) == \
             word_counts([text for _, text in docs], policy)
     # the scanned tokens are those of str.split(), so a count of them is exact
     assert scanned == [token.encode() for _, text in docs for token in text.split()]
-    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.glob("*.txt"))]
+    # the corpus hash: each file's name, then the hex SHA-256 of its bytes, in sorted order
+    expected = hashlib.sha256()
+    for p in sorted(root.glob("*.txt")):
+        expected.update(p.name.encode())
+        expected.update(hashlib.sha256(p.read_bytes()).hexdigest().encode())
+    assert corpus_hash.hexdigest() == expected.hexdigest()
 
 
 def test_a_token_longer_than_many_blocks_costs_its_length(tmp_path, monkeypatch):

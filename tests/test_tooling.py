@@ -196,6 +196,22 @@ def test_bench_layer_names_exist_in_src():
     assert pinned - timed == set()
 
 
+def test_every_function_the_bench_hooks_is_wrapped(monkeypatch):
+    # A count hook runs only around the src/ function it is keyed by, and an
+    # EXTRA name is wrapped only if src/ defines it; a renamed target would
+    # leave its count reading 0 instead of failing the run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import inproc
+
+    modules = {m: importlib.import_module(f"stoplemma.{m}") for m in inproc.MODULES}
+    tracer = inproc.Tracer(modules)
+    tracer.install()
+    tracer.uninstall()
+    hooked = set(tracer.hooks) | inproc.EXTRA
+    assert {"cli._sha256", "freq.count_words"} <= hooked
+    assert hooked - tracer.wrapped == set()
+
+
 def test_bench_self_tests_pass():
     # The bench hooks read src/ attributes and argument names, so a change
     # that breaks one shows here rather than only in a benchmark run.
