@@ -7,9 +7,8 @@ the stop-lemma list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .lemma import LemmaLexicon, gen_lemma
 from .normalize import read_records
@@ -17,8 +16,7 @@ from .normalize import read_records
 UNTRANSLATABLE_MARK = "!"
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     mapped_lemma_set: frozenset[str]
     hits: frozenset[str]
 

@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 import threading
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -105,7 +104,7 @@ def _count_corpus(path: str, policy: FilterPolicy) -> tuple[freq_mod.FrequencyTa
 
 
 def _policy_from_args(args) -> FilterPolicy:
-    return FilterPolicy(**{f.name: getattr(args, f.name) for f in fields(FilterPolicy)})
+    return FilterPolicy(**{name: getattr(args, name) for name in FilterPolicy._fields})
 
 
 def _load_lexicon_arg(args) -> lemma_mod.LemmaLexicon:

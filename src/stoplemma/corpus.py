@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """The UTF-8 file ``file``, named ``path``; read and hashed only when counted (``freq.count_document_words``)."""
     path: str
     file: Path
 
 
-@dataclass(frozen=True)
-class CorpusSource:
+class CorpusSource(NamedTuple):
     documents: tuple[Document, ...]
 
 

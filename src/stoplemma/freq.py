@@ -7,11 +7,10 @@ import os
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import CorpusSource, Document
 from .lemma import LemmaLexicon
@@ -23,6 +22,9 @@ from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, read_te
 _BLOCK_BYTES = 1 << 18
 _ASCII_SPACES = b" \t\n\v\f\r"  # what bytes.split() cuts at; no UTF-8 multibyte sequence holds one
 _BOM = b"\xef\xbb\xbf"
+# A corpus's distinct tokens are decoded this many at a time, as bytes.join
+# holds a buffer record (about 80 bytes) for each item it joins.
+_DECODE_TOKENS = 4096
 # The whitespace that str.split() cuts at and bytes.split() does not, UTF-8
 # encoded; each is rewritten to b" " before bytes.split(), so the tokens
 # counted are str.split()'s.  (The type pass would cut a token at one of
@@ -41,8 +43,7 @@ _WIDE_SPACE_BY_LEAD = tuple(
 _NOT_PLAIN = re.compile(f"^(?!{PLAIN_WORD.pattern}$).+$", re.M)
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     counts: dict[str, int]
 
     @property
@@ -54,11 +55,10 @@ class FrequencyTable:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class RankedList:
+class RankedList(NamedTuple):
     entries: tuple[tuple[str, int], ...]  # (item, count) in rank order; an entry's rank is its position + 1
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the entries, not the tuple's one field
         return len(self.entries)
 
 
@@ -101,7 +101,7 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
     """The kept surfaces of ``documents`` and their counts; ``corpus_hash`` gets their corpus hash.
 
     Each document is read once, in blocks, and its whitespace tokens are
-    counted as bytes.  The distinct tokens are decoded in one call; if that
+    counted as bytes.  The distinct tokens are decoded in batches; if one
     fails, the first document that is not UTF-8 is named as
     ``normalize.read_text`` names it.
 
@@ -134,15 +134,17 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
         if corpus_hash is not None:
             corpus_hash.update(os.fsencode(doc.path))
             corpus_hash.update(digest.hexdigest().encode())
-    joined, counts = b"\n".join(byte_tokens), list(byte_tokens.values())
+    keys, counts = list(byte_tokens), list(byte_tokens.values())
     del byte_tokens  # freed before the text is decoded
     try:
-        text = joined.decode()
+        pieces = [b"\n".join(keys[i:i + _DECODE_TOKENS]).decode() for i in range(0, len(keys), _DECODE_TOKENS)]
     except UnicodeDecodeError:
         for doc in documents:
             read_text(doc.file)
         raise ValueError("a corpus document changed while it was counted") from None
-    del joined
+    del keys
+    text = "\n".join(pieces)
+    del pieces
     tokens: Counter = Counter()
     dict.update(tokens, zip(text.split("\n"), counts))  # Counter.update would count each pair as an item
     not_plain = _NOT_PLAIN.findall(text)

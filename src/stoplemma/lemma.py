@@ -7,15 +7,13 @@ fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .normalize import read_pairs
 
 
-@dataclass(frozen=True)
-class LemmaLexicon:
+class LemmaLexicon(NamedTuple):
     entries: Mapping[str, str]
 
     @property

@@ -19,10 +19,9 @@ import os
 import re
 import stat
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # Word characters: Latin letters, ASCII digits, the Devanagari block minus
 # the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.  A
@@ -53,8 +52,7 @@ class TokenKind(Enum):
     SYMBOL = "symbol"
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
+class FilterPolicy(NamedTuple):
     """The token kinds that are counted; each field is the CLI switch of the same name."""
     keep_symbols: bool = False
     keep_latin_words: bool = False

@@ -6,7 +6,9 @@ tokenized and filtered; counts are plain ``Counter``s, a lemma is a
 ``dict.get`` and ranking is one ``sorted`` call.  ``freq_outputs`` and
 ``induce_outputs`` build every output file of their subcommand but
 ``provenance.json``, as bytes, and so do ``overlap_outputs`` and
-``assess_outputs``.
+``assess_outputs``.  ``posstats_outputs`` gives ``posstats``' files as values
+to compare at a tolerance: each cell's r and p come from exact sums, through
+``mpmath``.
 
 ``normalize_text``, ``tokenize`` and ``filter_tokens`` are the tokenizer
 spec, kept here only: the toolkit counts a corpus on bytes, in
@@ -20,9 +22,13 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
+import mpmath
+
 from stoplemma.normalize import FilterPolicy, TokenKind, classify, scan_surfaces
+from stoplemma.stats import DEFAULT_GROUPS
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -186,4 +192,104 @@ def assess_outputs(mapping: dict[str, list[str] | None], reference_list: list[st
             "misses": misses,
             "coverage_ratio": len(hits) / len(mapped) if mapped else None,
         }),
+    }
+
+
+def mpf(q: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def point_biserial_cell(n1: int, n0: int, s1: Fraction, s0: Fraction, squares: Fraction):
+    """``(r, p, error)`` of a group of ``n1`` members among ``n1 + n0`` values, from exact sums.
+
+    ``s1`` and ``s0`` sum the members' and the other values, ``squares`` every
+    value's square.  r is the difference of the two group means over the
+    values' population standard deviation, times sqrt(n1*n0)/n; the
+    two-tailed p of t = r*sqrt(df/(1-r^2)) on df = n-2 degrees of freedom is
+    I_x(df/2, 1/2) with x = df/(df+t^2) (Abramowitz & Stegun 26.7.1), and 0
+    where r is ±1.  Where r is undefined, r and p are None and ``error`` says why.
+    """
+    n = n1 + n0
+    if n1 == 0 or n0 == 0:
+        return None, None, "membership is constant"
+    variance = squares / n - ((s1 + s0) / n) ** 2
+    if variance == 0:
+        return None, None, "counts have zero variance"
+    difference = s1 / n1 - s0 / n0
+    r2 = difference ** 2 * n1 * n0 / (n ** 2 * variance)
+    r = mpmath.sqrt(mpf(r2)) * (1 if difference > 0 else -1)
+    if r2 == 1:
+        return r, mpmath.mpf(0), None
+    df = n - 2
+    t2 = df * r2 / (1 - r2)
+    return r, mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, mpf(df / (df + t2)), regularized=True), None
+
+
+def describe(values: list) -> tuple:
+    """(mean, sample sd, max, min) of ``values``; sd is None for one value, all four for none."""
+    if not values:
+        return None, None, None, None
+    mean = mpmath.fsum(values) / len(values)
+    sd = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)) if len(values) > 1 else None
+    return mean, sd, max(values), min(values)
+
+
+def posstats_cells(lists: dict[str, list[tuple[str, int]]], tags: dict[str, str], depth: int | None,
+                   use_frequency: bool) -> list[dict]:
+    """The cells of ``posstats.json``, with r and p as mpmath numbers.
+
+    ``lists`` holds each source's (item, count) entries in rank order.  Each
+    source's first ``depth`` entries (all by default) are correlated, by rank
+    or with ``use_frequency`` by count, against membership of each group of
+    ``DEFAULT_GROUPS`` by the item's tag in ``tags``.  Cells go group by group,
+    sources in order within a group.
+    """
+    cells = []
+    with mpmath.workdps(40):
+        for group, members in DEFAULT_GROUPS.items():
+            for sid, entries in lists.items():
+                entries = entries[:depth]
+                cell = {"group": group, "source_id": sid, "r": None, "p": None, "n1": 0, "n0": 0, "error": None}
+                cells.append(cell)
+                if len(entries) < 3:
+                    cell["error"] = "fewer than 3 entries"
+                    continue
+                values = [Fraction(count if use_frequency else rank) for rank, (_, count) in enumerate(entries, 1)]
+                inside = [tags.get(item) in members for item, _ in entries]
+                cell["n1"], cell["n0"] = sum(inside), len(entries) - sum(inside)
+                cell["r"], cell["p"], cell["error"] = point_biserial_cell(
+                    cell["n1"], cell["n0"], sum(v for v, i in zip(values, inside) if i),
+                    sum(v for v, i in zip(values, inside) if not i), sum(v * v for v in values))
+    return cells
+
+
+def posstats_outputs(cells: list[dict], lists: dict[str, list], depth: int | None,
+                     threshold: float) -> dict[str, object]:
+    """``posstats``' files as values, from ``posstats_cells``' cells, of which one at least has an r: the
+    ``posstats.json`` dict, the rows of ``posstats.tsv`` after its header, and the ``hypothesis.json`` dict.
+
+    (Where no cell has an r, the run fails.)
+    """
+    summaries = []
+    with mpmath.workdps(40):
+        for group in DEFAULT_GROUPS:
+            row = [c for c in cells if c["group"] == group]
+            defined = [c for c in row if c["error"] is None]
+            mean_r, sd_r, max_r, min_r = describe([c["r"] for c in defined])
+            mean_p, sd_p, _, _ = describe([c["p"] for c in defined])
+            summaries.append({
+                "group": group, "mean_r": mean_r, "sd_r": sd_r, "max_r": max_r, "min_r": min_r,
+                "mean_p": mean_p, "sd_p": sd_p, "defined_sources": len(defined),
+                "flagged_sources": [c["source_id"] for c in row if c["error"] is not None],
+            })
+    longest = max(map(len, lists.values()))
+    columns = ("mean_r", "sd_r", "max_r", "min_r", "mean_p", "sd_p")
+    return {
+        "posstats.json": {"cells": cells, "summaries": summaries,
+                          "depth": longest if depth is None else min(depth, longest)},
+        "posstats.tsv": [[s["group"], *(s[key] for key in columns)] for s in summaries],
+        "hypothesis.json": {
+            "reject_pos_hypothesis": all(s["mean_r"] is None or abs(s["mean_r"]) <= threshold for s in summaries),
+            "threshold": threshold,
+        },
     }

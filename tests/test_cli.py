@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import weakref
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
@@ -630,18 +629,41 @@ class TestNoPartialOutput:
         assert tree_bytes(out) == {"words_demo.tsv": b"old"}
 
 
+class LiveRecords:
+    """How many records of one class that tracked calls returned are still alive.
+
+    CPython frees an object when its last reference goes.  A record is a tuple,
+    which cannot be weakly referenced, so a finalizer set on the record class
+    drops each tracked record as it is freed: alive = built - freed.
+    """
+
+    def __init__(self, monkeypatch, cls):
+        self.live = set()  # the ids of tracked records not yet freed
+        monkeypatch.setattr(cls, "__del__", lambda record: self.live.discard(id(record)), raising=False)
+
+    def track(self, fn):
+        """``fn``, with each record it returns tracked."""
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            self.live.add(id(result))
+            return result
+        return wrapper
+
+    def __len__(self):
+        return len(self.live)
+
+
 def log_corpus_loads(monkeypatch, log):
     """Patch ``load_corpus`` so that each load, as it begins, appends ``PID ALIVE`` to ``log``: the process
     that loads and how many of the corpora it loaded before are still alive.  Forked induce workers inherit
     the patch, and the file gathers their lines too."""
-    load, sources = corpus_mod.load_corpus, []
+    sources = LiveRecords(monkeypatch, corpus_mod.CorpusSource)
+    load = sources.track(corpus_mod.load_corpus)
 
     def load_corpus(*args, **kwargs):
         with log.open("a") as fh:
-            fh.write(f"{os.getpid()} {sum(ref() is not None for ref in sources)}\n")
-        source = load(*args, **kwargs)
-        sources.append(weakref.ref(source))
-        return source
+            fh.write(f"{os.getpid()} {len(sources)}\n")
+        return load(*args, **kwargs)
 
     monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
 
@@ -654,7 +676,7 @@ def read_loads(log):
 
 
 class TestOneCorpusAndOneRankedTableAtATime:
-    """CPython frees an object when its last reference goes, so a weakref shows what is still alive."""
+    """``LiveRecords`` shows which corpora and ranked lists are still alive."""
 
     @staticmethod
     def corpora(tmp_path):
@@ -665,14 +687,6 @@ class TestOneCorpusAndOneRankedTableAtATime:
             (root / "a.txt").write_text("का है घर\n" * (i + 1), encoding="utf-8")
             argv += ["--corpus", f"c{i}={root}"]
         return argv
-
-    @staticmethod
-    def tracking(fn, refs):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            refs.append(weakref.ref(result))
-            return result
-        return wrapper
 
     def loads(self, tmp_path, monkeypatch, demo_args, command):
         log_corpus_loads(monkeypatch, tmp_path / "loads.log")
@@ -729,25 +743,25 @@ class TestOneCorpusAndOneRankedTableAtATime:
             assert loads == [(os.getpid(), 0)] * 3
 
     def test_freq_holds_one_ranked_table_at_a_time(self, tmp_path, monkeypatch):
-        ranked, alive = [], []
+        ranked, alive = LiveRecords(monkeypatch, freq_mod.RankedList), []
         write = freq_mod.write_tsv
 
         def write_tsv(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in ranked))
+            alive.append(len(ranked))
             write(*args, **kwargs)
 
-        monkeypatch.setattr(freq_mod, "rank_items", self.tracking(freq_mod.rank_items, ranked))
+        monkeypatch.setattr(freq_mod, "rank_items", ranked.track(freq_mod.rank_items))
         monkeypatch.setattr(freq_mod, "write_tsv", write_tsv)
         assert run(["freq", *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
         assert alive == [1] * 6
 
     def test_induce_ranks_each_corpus_while_at_most_one_earlier_list_is_alive(self, tmp_path, monkeypatch,
                                                                               demo_args):
-        ranked, alive = [], []
-        rank = self.tracking(induce_mod.rank_items, ranked)
+        ranked, alive = LiveRecords(monkeypatch, freq_mod.RankedList), []
+        rank = ranked.track(induce_mod.rank_items)
 
         def rank_items(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in ranked))
+            alive.append(len(ranked))
             return rank(*args, **kwargs)
 
         # induce binds rank_items at import, so only a patch on its own namespace reaches it
@@ -1267,6 +1281,21 @@ def test_only_induce_imports_the_process_pool(tmp_path):
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the records are named tuples; dataclasses would import inspect, ast, dis and tokenize at every start-up.
+    # Only what the import adds counts, since a .pth file in site-packages may import them itself
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import stoplemma.cli\n"
+              "added = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+              "assert not added, f'importing the CLI imported {sorted(added)}'\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_skips_importlib_resources():

@@ -1,10 +1,13 @@
-"""Whole output trees of ``freq``, ``induce``, ``overlap`` and ``assess`` against the reference model.
+"""Every subcommand's output tree against the reference model.
 
-The model is in ``reference.py``.
+The model is in ``reference.py``.  ``posstats``' floats are compared at a
+tolerance, its other outputs exactly.
 """
 
+import json
+import math
 import os
-from dataclasses import fields
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +16,7 @@ import reference
 from stoplemma import freq
 from stoplemma.cli import main
 from stoplemma.normalize import FilterPolicy
+from stoplemma.stats import DEFAULT_GROUPS
 from test_freq import COUNTING_ALPHABET, ISSPACE, POLICY_FLAGS, policy_of
 
 # NFC words that the lexicons and stop lists are made of and that documents
@@ -75,7 +79,7 @@ def test_freq_and_induce_trees_equal_the_reference_model(tmp_path_factory, block
         path.write_bytes(b"\xef\xbb\xbf" * bom + ("\r\n" if crlf else "\n").join(lines).encode())
         stoplist_args += ["--stoplist", f"l{i}={path}"]
     policy = policy_of(flags)
-    switches = [f"--{f.name.replace('_', '-')}" for f in fields(policy) if getattr(policy, f.name)]
+    switches = [f"--{name.replace('_', '-')}" for name in policy._fields if getattr(policy, name)]
     common = [*corpus_args, "--lexicon", str(lex), *switches]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -90,21 +94,17 @@ def test_freq_and_induce_trees_equal_the_reference_model(tmp_path_factory, block
         [lines for _, _, lines in stoplists], list(texts.values()), lexicon, policy, k_a, k_b)
 
 
+# the items of the ranked lists
+RANKED_ITEMS = [*WORDS, "#", "a", "7"]
 # a ranked list is either a table that the reference ranks, or freq's word
 # table of a corpus of 1–2 documents
-ranked_sources = st.lists(
-    st.dictionaries(st.sampled_from([*WORDS, "#", "a", "7"]), st.integers(0, 5), max_size=6)
-    | st.lists(documents, min_size=1, max_size=2),
-    min_size=2, max_size=4)
+ranked_source = (st.dictionaries(st.sampled_from(RANKED_ITEMS), st.integers(0, 5), max_size=6)
+                 | st.lists(documents, min_size=1, max_size=2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(sources=ranked_sources, k=st.integers(1, 4))
-# a list shorter than k, an empty one and one that freq wrote, which meet in क and घर
-@example(sources=[{"क": 3, "घर": 1}, {}, [(True, "घर क\r\nक खा")]], k=3)
-def test_overlap_tree_equals_the_reference_model(tmp_path_factory, sources, k):
-    root = tmp_path_factory.mktemp("run")
-    ranked_args, lists = [], {}
+def write_ranked(root, sources):
+    """The ``--ranked`` arguments of ``sources`` written under ``root``, and each list's (item, count) entries."""
+    args, lists = [], {}
     for i, source in enumerate(sources):
         folder = root / f"r{i}"
         folder.mkdir()
@@ -115,11 +115,108 @@ def test_overlap_tree_equals_the_reference_model(tmp_path_factory, sources, k):
             corpus_args, texts = write_corpora(folder, [source])
             assert main(["freq", *corpus_args, "--out", str(folder / "freq")]) == 0
             path, counts = folder / "freq" / "words_c0.tsv", reference.word_counts(texts["c0"], FilterPolicy())
-        ranked_args += ["--ranked", f"r{i}={path}"]
-        lists[f"r{i}"] = [item for item, _ in reference.ranked(counts)]
+        args += ["--ranked", f"r{i}={path}"]
+        lists[f"r{i}"] = reference.ranked(counts)
+    return args, lists
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources=st.lists(ranked_source, min_size=2, max_size=4), k=st.integers(1, 4))
+# a list shorter than k, an empty one and one that freq wrote, which meet in क and घर
+@example(sources=[{"क": 3, "घर": 1}, {}, [(True, "घर क\r\nक खा")]], k=3)
+def test_overlap_tree_equals_the_reference_model(tmp_path_factory, sources, k):
+    root = tmp_path_factory.mktemp("run")
+    ranked_args, lists = write_ranked(root, sources)
 
     assert main(["overlap", *ranked_args, "--k", str(k), "--out", str(root / "overlap")]) == 0
-    assert outputs(root / "overlap") == reference.overlap_outputs(lists, k)
+    assert outputs(root / "overlap") == reference.overlap_outputs(
+        {ident: [item for item, _ in entries] for ident, entries in lists.items()}, k)
+
+
+# A POS tag of each group, and one of none
+POS_TAGS = [*sorted(set().union(*DEFAULT_GROUPS.values())), "JJ"]
+# Where the exact r is ±1, which a list whose counts take two values that
+# the group splits gives, the toolkit's r may round to 1 - 2**-53 instead,
+# and its p at that r is up to 9.5e-9 (at one degree of freedom), not 0.
+P_AT_ROUNDED_ONE = 1e-8
+
+
+def close(got, want, rel):
+    """Both None, or ``got`` within ``rel`` of ``want`` relative, or 1e-15 absolute, as a sum near 0 allows."""
+    if want is None:
+        return got is None
+    return got is not None and math.isclose(got, float(want), rel_tol=rel, abs_tol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources=st.lists(ranked_source, min_size=1, max_size=3),
+       tags=st.dictionaries(st.sampled_from(RANKED_ITEMS), st.sampled_from(POS_TAGS)),
+       depth=st.none() | st.integers(1, 6), use_frequency=st.booleans(),
+       threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+# a list that freq wrote and one with tied counts, cut to 4 entries
+@example(sources=[[(False, "घर क है का क\nघर क खा")], {"क": 3, "घर": 2, "है": 2, "a": 1, "7": 1}],
+         tags={"क": "PSP", "घर": "NN", "है": "VM", "a": "SYM", "खा": "VM"}, depth=4, use_frequency=False,
+         threshold=0.5)
+# by count: a group split by two counts, whose exact r is ±1, and a list of
+# equal counts, where only groups with members and others meet the variance
+@example(sources=[{"क": 5, "घर": 5, "है": 3}, {"क": 2, "घर": 2, "है": 2, "का": 2}],
+         tags={"क": "PSP", "घर": "PRP", "है": "VM"}, depth=None, use_frequency=True, threshold=1.0)
+# no cell has a defined r, and the run fails
+@example(sources=[{"क": 1, "घर": 1}, {}], tags={"क": "PSP"}, depth=None, use_frequency=False, threshold=0.5)
+def test_posstats_tree_equals_the_reference_model(tmp_path_factory, sources, tags, depth, use_frequency,
+                                                  threshold):
+    root = tmp_path_factory.mktemp("run")
+    ranked_args, lists = write_ranked(root, sources)
+    (root / "pos.tsv").write_text("".join(f"{item}\t{tag}\n" for item, tag in tags.items()), encoding="utf-8")
+    out = root / "posstats"
+    argv = ["posstats", *ranked_args, "--pos-lexicon", str(root / "pos.tsv"), "--threshold", str(threshold),
+            *(["--depth", str(depth)] if depth else []), *(["--use-frequency"] if use_frequency else []),
+            "--out", str(out)]
+    code = main(argv)
+
+    cells = reference.posstats_cells(lists, tags, depth, use_frequency)
+    if all(c["error"] for c in cells):  # no r is defined: a compute error
+        assert code == 2 and not out.exists()
+        return
+    assert code == 0
+    report = json.loads((out / "posstats.json").read_text(encoding="utf-8"))
+    assert len(report["cells"]) == len(cells)
+    for got, want in zip(report["cells"], cells):
+        assert {**got, "r": None, "p": None} == {**want, "r": None, "p": None}
+        assert close(got["r"], want["r"], 1e-12)
+        if want["r"] is not None and abs(want["r"]) == 1:
+            assert 0 <= got["p"] <= P_AT_ROUNDED_ONE
+            want["p"] = got["p"]  # so the group's p summary is the one of the p given
+        else:
+            assert close(got["p"], want["p"], 1e-9)
+    expected = reference.posstats_outputs(cells, lists, depth, threshold)
+    assert report["depth"] == expected["posstats.json"]["depth"]
+    assert len(report["summaries"]) == len(expected["posstats.json"]["summaries"])
+    for got, want in zip(report["summaries"], expected["posstats.json"]["summaries"]):
+        assert (got["group"], got["defined_sources"], got["flagged_sources"]) == \
+            (want["group"], want["defined_sources"], want["flagged_sources"])
+        for key in ("mean_r", "sd_r", "max_r", "min_r", "mean_p", "sd_p"):
+            assert close(got[key], want[key], 1e-9 if key.endswith("p") else 1e-12), key
+
+    header, *rows = (out / "posstats.tsv").read_text(encoding="utf-8").splitlines()
+    assert header == "Part of Speech\tMean\tSD\tMax\tMin\tP Mean\tP SD"
+    assert len(rows) == len(expected["posstats.tsv"])
+    for line, (group, *values) in zip(rows, expected["posstats.tsv"]):
+        fields = line.split("\t")
+        assert fields[0] == group and len(fields) == 1 + len(values)
+        for field, value in zip(fields[1:], values):
+            if value is None:
+                assert field == ""
+            else:  # the value printed to 4 decimals
+                assert re.fullmatch(r"-?\d+\.\d{4}", field) and abs(float(field) - value) <= 0.5e-4 + 1e-12
+
+    verdict = json.loads((out / "hypothesis.json").read_text(encoding="utf-8"))
+    # a mean |r| at the threshold, as ±1 at 1.0, compares either way in float
+    if all(s["mean_r"] is None or abs(abs(s["mean_r"]) - threshold) > 1e-12
+           for s in expected["posstats.json"]["summaries"]):
+        assert verdict == expected["hypothesis.json"]
+    else:
+        assert verdict["threshold"] == threshold
 
 
 # each external word's target phrases, or None for a `!` line

@@ -299,17 +299,28 @@ FILE_PIECES = [*ISSPACE, "\r\n", "क", "न", "ि", "\u094d", "\u093c", "\u092
 @given(docs=st.lists(st.tuples(st.booleans(), st.lists(st.sampled_from(FILE_PIECES), max_size=40).map("".join)),
                      min_size=1, max_size=3),
        block_bytes=st.integers(1, 8) | st.just(freq._BLOCK_BYTES),
-       flags=st.sampled_from(POLICY_FLAGS))
+       flags=st.sampled_from(POLICY_FLAGS),
+       decode_tokens=st.sampled_from([freq._DECODE_TOKENS, 1, 3]))
 # a token of 90 bytes, many blocks long
-@example(docs=[(False, "घर " + "क" * 30 + " है")], block_bytes=4, flags=POLICY_FLAGS[-1])
+@example(docs=[(False, "घर " + "क" * 30 + " है")], block_bytes=4, flags=POLICY_FLAGS[-1],
+         decode_tokens=freq._DECODE_TOKENS)
 # no ASCII whitespace at all, and a BOM that two blocks split
 @example(docs=[(True, "घर\u3000है\u00a0क\u2028\u201cख\u201d\x1c\u0928\u093c")], block_bytes=2,
-         flags=POLICY_FLAGS[0])
+         flags=POLICY_FLAGS[0], decode_tokens=freq._DECODE_TOKENS)
 # after the first read of a BOM's length: a file that is only a BOM, one
 # shorter than a BOM and one whose BOM is followed at once by whitespace
-@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=1, flags=POLICY_FLAGS[-1])
-@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=2, flags=POLICY_FLAGS[-1])
-def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, docs, block_bytes, flags):
+@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=1, flags=POLICY_FLAGS[-1],
+         decode_tokens=freq._DECODE_TOKENS)
+@example(docs=[(True, ""), (False, "a"), (True, "\nघर\u00a0है")], block_bytes=2, flags=POLICY_FLAGS[-1],
+         decode_tokens=freq._DECODE_TOKENS)
+# the distinct tokens decoded one at a time and three at a time, plain and
+# not plain ones mixed, with one surface reached from tokens in two batches
+@example(docs=[(False, "घर \u0929 क\u093c a, है\u00a0घर"), (True, "\u0928\u093c १ 7 क")], block_bytes=3,
+         flags=POLICY_FLAGS[0], decode_tokens=1)
+@example(docs=[(False, "घर \u0929 क\u093c a, है\u00a0घर"), (True, "\u0928\u093c १ 7 क")], block_bytes=3,
+         flags=POLICY_FLAGS[-1], decode_tokens=3)
+def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, docs, block_bytes, flags,
+                                                            decode_tokens):
     # each (bom, text) is a file of text's UTF-8 bytes, after a BOM if bom is true
     root = tmp_path_factory.mktemp("corpus")
     for i, (bom, text) in enumerate(docs):
@@ -325,6 +336,7 @@ def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, do
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freq, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(freq, "_DECODE_TOKENS", decode_tokens)
         mp.setattr(freq, "Counter", ScanCounter)
         assert count_document_words(load_corpus(root).documents, policy, corpus_hash) == \
             word_counts([text for _, text in docs], policy)
@@ -336,6 +348,19 @@ def test_counting_files_in_blocks_matches_tokenize_pipeline(tmp_path_factory, do
         expected.update(p.name.encode())
         expected.update(hashlib.sha256(p.read_bytes()).hexdigest().encode())
     assert corpus_hash.hexdigest() == expected.hexdigest()
+
+
+@pytest.mark.parametrize("decode_tokens", [freq._DECODE_TOKENS, 1, 3])
+def test_a_batch_that_fails_to_decode_names_the_first_document_that_is_not_utf8(tmp_path, monkeypatch,
+                                                                               decode_tokens):
+    # the bad tokens come after five good ones, so small batches decode some before one fails
+    monkeypatch.setattr(freq, "_DECODE_TOKENS", decode_tokens)
+    (tmp_path / "a.txt").write_text("घर है क ख ग\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_bytes("नदी\n".encode() + b"\xff\n")
+    (tmp_path / "c.txt").write_bytes(b"\xfe \xe0\xa4")
+    message = f"{tmp_path / 'b.txt'}:2: invalid UTF-8 at byte offset 10"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        count_document_words(load_corpus(tmp_path).documents)
 
 
 def test_a_token_longer_than_many_blocks_costs_its_length(tmp_path, monkeypatch):
