@@ -21,6 +21,7 @@ import sys
 import tempfile
 import threading
 from functools import partial
+from itertools import starmap
 from pathlib import Path
 
 from . import assess as assess_mod
@@ -97,8 +98,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+# private, as induce's workers are sent it by name, and bench/inproc.py wraps each public function in a closure
 def _count_corpus(path: str, policy: FilterPolicy) -> tuple[freq_mod.FrequencyTable, str]:
-    """A corpus's word table and its hash (defined at ``freq.count_document_words``), from one read of each document."""
+    """A corpus's word table, its counts a plain dict, and its hash (defined at ``freq.count_document_words``)."""
     h = hashlib.sha256()
     return freq_mod.count_words(corpus_mod.load_corpus(path), policy, h), h.hexdigest()
 
@@ -139,17 +141,6 @@ def cmd_freq(args) -> tuple[dict, dict]:
     return outputs, hashes
 
 
-def _corpus_lemma_counts(path: str, policy: FilterPolicy,
-                         lex: lemma_mod.LemmaLexicon) -> tuple[dict[str, int], str]:
-    """One corpus's lemma counts and hash, as an ``induce`` worker process counts them.
-
-    Private, because bench/inproc.py wraps every public function in a closure,
-    and a closure cannot be pickled to a worker.
-    """
-    words, tree = _count_corpus(path, policy)
-    return freq_mod.lemma_table(words, lex).counts, tree
-
-
 def cmd_induce(args) -> tuple[dict, dict]:
     if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in args.corpus):
         raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
@@ -166,9 +157,11 @@ def cmd_induce(args) -> tuple[dict, dict]:
         cpus = os.cpu_count() or 1
     workers = min(len(args.corpus), cpus) if threading.active_count() == 1 and hasattr(os, "fork") else 1
     paths = [path for _, path in args.corpus]
-    count = partial(_corpus_lemma_counts, policy=policy, lex=lex)
+    count = partial(_count_corpus, policy=policy)
+    def collapse(words, tree):  # in this process, the only one that holds the lexicon, as each word table arrives
+        return freq_mod.lemma_table(words, lex).counts, tree
     if workers == 1:
-        counted = list(map(count, paths))
+        counted = list(starmap(collapse, map(count, paths)))
     else:
         # imported here, so that no other subcommand's start-up pays for them
         import multiprocessing
@@ -177,7 +170,7 @@ def cmd_induce(args) -> tuple[dict, dict]:
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            counted = list(pool.map(count, paths))
+            counted = list(starmap(collapse, pool.map(count, paths)))
         except BrokenProcessPool as exc:  # a worker was killed, as by the out-of-memory killer
             raise OSError(f"a worker process counting the corpora died: {exc}") from None
         finally:

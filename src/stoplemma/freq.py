@@ -97,8 +97,8 @@ def _block_tokens(stream: BinaryIO, digest) -> Iterator[list[bytes]]:
 
 
 def count_document_words(documents: Iterable[Document], policy: FilterPolicy = FilterPolicy(),
-                         corpus_hash=None) -> Counter:
-    """The kept surfaces of ``documents`` and their counts; ``corpus_hash`` gets their corpus hash.
+                         corpus_hash=None) -> dict[str, int]:
+    """The kept surfaces of ``documents`` and their counts, a plain dict; ``corpus_hash`` gets their corpus hash.
 
     Each document is read once, in blocks, and its whitespace tokens are
     counted as bytes.  The distinct tokens are decoded in batches; if one
@@ -145,8 +145,7 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
     del keys
     text = "\n".join(pieces)
     del pieces
-    tokens: Counter = Counter()
-    dict.update(tokens, zip(text.split("\n"), counts))  # Counter.update would count each pair as an item
+    tokens = dict(zip(text.split("\n"), counts))
     not_plain = _NOT_PLAIN.findall(text)
     del text, counts
     rest: Counter = Counter()
@@ -156,7 +155,7 @@ def count_document_words(documents: Iterable[Document], policy: FilterPolicy = F
             rest[surface] += n
     for surface, n in rest.items():
         if policy.keeps(classify(surface)):
-            tokens[surface] += n
+            tokens[surface] = tokens.get(surface, 0) + n
     return tokens
 
 

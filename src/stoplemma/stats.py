@@ -75,13 +75,16 @@ def _population_variance(values: Sequence[float]) -> float:
     return var
 
 
-def _r_and_p(n: int, n1: int, s1: float, s0: float, var: Optional[float]) -> tuple[float, float]:
+def _r_and_p(n: int, n1: int, s1: float, s0: float, var: Optional[float], squares=None) -> tuple[float, float]:
     """point_biserial's r and p from the member count, both groups' sums and the population variance."""
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedCorrelationError("membership is constant")
     if var == 0:  # distinct ranks vary, so only counts can be all equal
         raise UndefinedCorrelationError("counts have zero variance")
+    # from the exact sums and sum of squares, an exact r of ±1, which the float r may miss in its last bits
+    if squares is not None and n0 * s1 != n1 * s0 and n0 * s1 * s1 + n1 * s0 * s0 == n1 * n0 * squares:
+        return (1.0 if n0 * s1 > n1 * s0 else -1.0), 0.0
     r = ((s1 / n1 - s0 / n0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -126,7 +129,8 @@ def pos_rank_analysis(
     group membership and its ranks (or, with ``use_frequency``, its counts).
     The group means come from exact integer sums, so they equal
     ``point_biserial``'s in-order float sums while every sum stays below
-    2**53; above that they are the correctly rounded means.
+    2**53; above that they are the correctly rounded means.  An exact r of
+    ±1, as two count values that a group splits give, is ±1.0, with p 0.0.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -169,8 +173,10 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
         # counts become floats before any cell: one that no float holds fails
         # the source even when every group is flagged
         values = [float(count) for count in ints]
+        squares = sum(count * count for count in ints)
     else:
         ints = values = range(1, n + 1)
+        squares = n * (n + 1) * (2 * n + 1) // 6
     other = len(DEFAULT_GROUPS)  # the bucket of entries in no group
     sizes, sums = [0] * (other + 1), [0] * (other + 1)
     for (item, _), value in zip(entries, ints):
@@ -184,7 +190,7 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
     for g, group in enumerate(DEFAULT_GROUPS):
         n1, n0 = sizes[g], n - sizes[g]
         try:
-            r, p = _r_and_p(n, n1, sums[g], total - sums[g], var)
+            r, p = _r_and_p(n, n1, sums[g], total - sums[g], var, squares)
         except UndefinedCorrelationError as exc:
             cells.append(_cell(group, sid, n1, n0, error=str(exc)))
         else:

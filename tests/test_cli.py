@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import re
 import shutil
@@ -21,6 +22,7 @@ from stoplemma import corpus as corpus_mod
 from stoplemma import data_path
 from stoplemma import freq as freq_mod
 from stoplemma import induce as induce_mod
+from stoplemma import lemma as lemma_mod
 from stoplemma.cli import COMMANDS, IDS, REQUIRED, SWITCH, main
 
 
@@ -876,6 +878,25 @@ class TestInduceCountsEachCorpusInAWorkerProcess:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_the_lexicon_is_never_pickled_to_a_worker(self, tmp_path, monkeypatch, demo_args):
+        # workers return word tables, and this process, the only one that holds the lexicon, collapses them
+        pickles, reduce = [], lemma_mod.LemmaLexicon.__reduce_ex__
+
+        def counting_reduce(lex, protocol):
+            pickles.append(os.getpid())
+            return reduce(lex, protocol)
+
+        monkeypatch.setattr(lemma_mod.LemmaLexicon, "__reduce_ex__", counting_reduce)
+        log_corpus_loads(monkeypatch, tmp_path / "loads.log")
+        corpora = self.demo_corpora(tmp_path / "in")[:4]  # two corpora
+        argv = ["induce", "--stoplist", demo_args["stoplists"][0], *corpora, "--lexicon", demo_args["lexicon"],
+                "--out", tmp_path / "out"]
+        assert self.run_on(2, argv, monkeypatch) == 0
+        assert os.getpid() not in {pid for pid, _ in read_loads(tmp_path / "loads.log")}
+        assert pickles == []
+        pickle.dumps(lemma_mod.load_lexicon(demo_args["lexicon"]))  # the patch sees a pickle
+        assert pickles == [os.getpid()]
+
 
 @pytest.mark.parametrize("option, source", [
     *((option, source) for option in ("lexicon", "out", "pos-lexicon", "mapping", "list")
@@ -1280,6 +1301,35 @@ def test_only_induce_imports_the_process_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LAZY_POOL_SCRIPT, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
+
+
+_DEV_MODE_POOL_SCRIPT = """
+import os
+import sys
+from stoplemma import data_path
+from stoplemma.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+out = sys.argv[1]
+corpora = [a for i in (1, 2) for a in ("--corpus", f"c{i}={data_path('demo_corpus')}")]
+lexicon = ["--lexicon", str(data_path("demo_lexicon.tsv"))]
+stoplist = f"l1={data_path('demo_stoplists', 'list1.txt')}"
+assert main(["induce", "--stoplist", stoplist, *corpora, *lexicon, "--out", out + "/induce"]) == 0
+assert "multiprocessing" in sys.modules, "induce counted two corpora without a pool"
+assert main(["freq", *corpora, *lexicon, "--out", out + "/freq"]) == 0
+"""
+
+
+def test_a_pooled_induce_and_freq_give_no_warning_in_dev_mode(tmp_path):
+    # -X dev shows ResourceWarning and the other development-mode warnings, and -W error makes each an error:
+    # an unclosed pipe or file, or a fork in a process that runs threads (which Python 3.12 warns of), fails it.
+    # A warning raised while an object is finalized only prints to stderr, so stderr must be empty
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_MODE_POOL_SCRIPT, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
 
 

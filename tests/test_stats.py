@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stoplemma.freq import RankedList, rank_items, read_ranked_tsv
 from stoplemma.stats import (
@@ -225,6 +226,28 @@ class TestPosRankAnalysis:
         assert reject_pos_hypothesis(report, threshold=1.0)
         assert not reject_pos_hypothesis(report, threshold=0.0)
 
+    @pytest.mark.parametrize("mean_r, rejected", [(0.5, True), (-0.5, True), (math.nextafter(0.5, 1), False),
+                                                  (-math.nextafter(0.5, 1), False)])
+    def test_hypothesis_at_the_threshold_itself(self, mean_r, rejected):
+        # a |mean r| equal to the threshold does not exceed it
+        report = {"summaries": [{"mean_r": None}, {"mean_r": mean_r}]}
+        assert reject_pos_hypothesis(report, threshold=0.5) is rejected
+
+    def test_an_exact_r_of_one_is_one_with_p_zero(self):
+        # counts of two values that a group splits: the exact r is ±1, which the float r misses by 2**-53
+        entries = (("w0", 5), ("w1", 5), ("w2", 3))
+        assert point_biserial([1, 1, 0], [5.0, 5.0, 3.0])[0] == 1 - 2**-53
+        report = pos_rank_analysis({"s": RankedList(entries)}, {"w0": "PSP", "w1": "PRP", "w2": "VM"},
+                                   use_frequency=True)
+        assert {c["group"]: (c["r"], c["p"]) for c in report["cells"] if c["error"] is None} == {
+            "PSP/PRP": (1.0, 0.0), "VM": (-1.0, 0.0)}
+
+    def test_equal_counts_whose_float_variance_is_not_zero_are_no_exact_r_of_one(self):
+        # (2**53 - 1) * 5 rounds as a float sum, so the float variance is 1.0; the group means are equal
+        equal = RankedList(tuple((f"w{i}", 2**53 - 1) for i in range(5)))
+        report = pos_rank_analysis({"s": equal}, {"w0": "VM"}, use_frequency=True)
+        assert [(c["r"], c["p"]) for c in report["cells"] if c["group"] == "VM"] == [(0.0, 1.0)]
+
 
 def test_load_pos_lexicon(tmp_path):
     path = tmp_path / "pos.tsv"
@@ -248,8 +271,22 @@ def reference_cell(group, sid, r, p, n1, n0, error=None):
     return {"group": group, "source_id": sid, "r": r, "p": p, "n1": n1, "n0": n0, "error": error}
 
 
+def exact_unit_r(membership, ints):
+    """±1.0 where the exact r of 0/1 ``membership`` against the integers ``ints`` is ±1, else None."""
+    n, n1 = len(ints), sum(membership)
+    if n1 in (0, n):
+        return None
+    m1 = Fraction(sum(v for m, v in zip(membership, ints) if m), n1)
+    m0 = Fraction(sum(v for m, v in zip(membership, ints) if not m), n - n1)
+    var = Fraction(sum(v * v for v in ints), n) - Fraction(sum(ints), n) ** 2
+    if var and (m1 - m0) ** 2 * n1 * (n - n1) == n * n * var:
+        return 1.0 if m1 > m0 else -1.0
+    return None
+
+
 def reference_analysis(lists, lex, depth, use_frequency=False):
-    """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts."""
+    """pos_rank_analysis cell by cell: point_biserial over 0/1 membership and the ranks or counts,
+    except that an exact r of ±1 is ±1.0, with p 0.0."""
     cells, summaries = [], []
     for group, members in DEFAULT_GROUPS.items():
         row = []
@@ -267,6 +304,10 @@ def reference_analysis(lists, lex, depth, use_frequency=False):
             except UndefinedCorrelationError as exc:
                 row.append(reference_cell(group, sid, None, None, n1, n0, str(exc)))
                 continue
+            unit = exact_unit_r(membership, [count if use_frequency else rank
+                                             for rank, (_, count) in enumerate(entries, start=1)])
+            if unit is not None:
+                r, p = unit, 0.0
             row.append(reference_cell(group, sid, r, p, n1, n0))
         cells += row
         defined = [c for c in row if c["error"] is None]
@@ -298,6 +339,9 @@ _COUNT = st.integers(0, 3) | st.integers(0, 2**53 // 80)
     depth=st.none() | st.integers(1, 90),
     use_frequency=st.booleans(),
 )
+# by count: two values that two groups split, each an exact r of ±1 that the float r misses
+@example(tags=["PSP", "PRP", "VM", *[None] * 97], orders=[["w0", "w1", "w2"]], counts=[5, 5, 3, *[0] * 77],
+         depth=None, use_frequency=True)
 def test_rank_path_equals_point_biserial_per_cell(tags, orders, counts, depth, use_frequency):
     lex = {item: tag for item, tag in zip(_ITEMS, tags) if tag}
     # counts in any order: pos_rank_analysis takes a list's order as given
