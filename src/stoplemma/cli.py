@@ -120,28 +120,27 @@ def _write_ranked(counts: dict[str, int], path: Path) -> None:
     freq_mod.write_tsv(freq_mod.rank_items(counts), path)
 
 
-# Each cmd_* gets every ID=PATH option as (ID, PATH) pairs and every input
-# path checked; it computes and returns a writer per output file name, and
-# the SHA-256 of each input folder it read.  main() hashes the other inputs,
-# adds the provenance and writes the outputs.
+# Each cmd_* gets every ID=PATH option as (ID, PATH) pairs, every input
+# path checked and the staging folder; it writes each output file into that
+# folder and returns the SHA-256 of each input folder it read.  main() hashes
+# the other inputs, adds provenance.json and moves the outputs into --out.
 
-def cmd_freq(args) -> tuple[dict, dict]:
+def cmd_freq(args, stage: Path) -> dict:
     policy = _policy_from_args(args)
     lex = _load_lexicon_arg(args)
 
-    tables = []
-    outputs, hashes = {}, {}
+    rows, hashes = [], {}
     for ident, path in args.corpus:
         words, hashes[path] = _count_corpus(path, policy)
-        lemmas = freq_mod.lemma_table(words, lex)
-        for kind, table in (("word", words), ("lemma", lemmas)):
-            tables.append((ident, kind, table))
-            outputs[f"{kind}s_{ident}.tsv"] = partial(_write_ranked, table.counts)
-    outputs["freq_report.json"] = partial(freq_mod.write_report, tables)
-    return outputs, hashes
+        for kind, table in (("word", words), ("lemma", freq_mod.lemma_table(words, lex))):
+            rows.append((ident, kind, table.total_tokens, table.unique_count))
+            _write_ranked(table.counts, stage / f"{kind}s_{ident}.tsv")
+        del words, table  # no table of this corpus is alive while the next one is counted
+    freq_mod.write_report(rows, stage / "freq_report.json")
+    return hashes
 
 
-def cmd_induce(args) -> tuple[dict, dict]:
+def cmd_induce(args, stage: Path) -> dict:
     if any(Path(args.out).resolve().is_relative_to(Path(p).resolve()) for _, p in args.corpus):
         raise ValueError(f"--out {args.out} is inside a --corpus folder, whose documents it would join")
     policy = _policy_from_args(args)
@@ -180,14 +179,12 @@ def cmd_induce(args) -> tuple[dict, dict]:
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
     set_b = induce_mod.build_set_b(lemma_counts, k=args.k_b)
     final = induce_mod.build_final_list(set_a, set_b, lemma_counts)
-    report = induce_mod.induction_report(lists, set_a, set_b, final)
-    return {
-        "stoplemmas.txt": partial(induce_mod.write_stoplemma_list, final),
-        "induction_report.json": partial(write_json, report),
-    }, dict(zip(paths, trees))
+    induce_mod.write_stoplemma_list(final, stage / "stoplemmas.txt")
+    write_json(induce_mod.induction_report(lists, set_a, set_b, final), stage / "induction_report.json")
+    return dict(zip(paths, trees))
 
 
-def cmd_overlap(args) -> tuple[dict, dict]:
+def cmd_overlap(args, stage: Path) -> dict:
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
     counts = stats_mod.top_k_overlap(lists, k=args.k)
     summary = {
@@ -197,13 +194,12 @@ def cmd_overlap(args) -> tuple[dict, dict]:
         "max_count": max(counts.values(), default=0),
         "short_sources": [ident for ident, ranked in lists.items() if len(ranked) < args.k],
     }
-    return {
-        "overlap.tsv": partial(_write_ranked, counts),
-        "overlap_report.json": partial(write_json, summary),
-    }, {}
+    _write_ranked(counts, stage / "overlap.tsv")
+    write_json(summary, stage / "overlap_report.json")
+    return {}
 
 
-def cmd_posstats(args) -> tuple[dict, dict]:
+def cmd_posstats(args, stage: Path) -> dict:
     if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
         raise ValueError(f"--threshold must be a finite number, got {args.threshold!r}")
     lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
@@ -211,46 +207,35 @@ def cmd_posstats(args) -> tuple[dict, dict]:
     report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
     if all(s["mean_r"] is None for s in report["summaries"]):
         raise ComputeError("correlation undefined for every (group, source) cell")
-    verdict = {"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
-               "threshold": args.threshold}
-    return {
-        "posstats.tsv": partial(stats_mod.write_correlation_tsv, report),
-        "posstats.json": partial(write_json, report),
-        "hypothesis.json": partial(write_json, verdict),
-    }, {}
+    stats_mod.write_correlation_tsv(report, stage / "posstats.tsv")
+    write_json(report, stage / "posstats.json")
+    write_json({"reject_pos_hypothesis": stats_mod.reject_pos_hypothesis(report, args.threshold),
+                "threshold": args.threshold}, stage / "hypothesis.json")
+    return {}
 
 
-def cmd_assess(args) -> tuple[dict, dict]:
+def cmd_assess(args, stage: Path) -> dict:
     mapping = assess_mod.load_mapping(args.mapping)
     lex = _load_lexicon_arg(args)
     stop_lemmas = set(induce_mod.load_stopword_list(args.list))
     summary = assess_mod.coverage_summary(mapping, lex, stop_lemmas)
-    text = assess_mod.format_summary(summary) + "\n"
-    return {
-        "coverage.json": partial(write_json, summary),
-        "coverage.txt": lambda path: path.write_text(text, encoding="utf-8"),
-    }, {}
+    write_json(summary, stage / "coverage.json")
+    (stage / "coverage.txt").write_text(assess_mod.format_summary(summary) + "\n", encoding="utf-8")
+    return {}
 
 
-def _write_outputs(out: Path, outputs: dict) -> None:
-    """Write every output into a staging folder, then move them into ``out``.
+def _move_outputs(stage: Path, out: Path) -> None:
+    """Move every file of ``stage`` into ``out``, made if missing.
 
-    A failed writer, or an output name that is a folder in ``out``, leaves ``out``
-    as it was.  The staging folder is made in ``out`` if it exists, else in its
-    nearest existing ancestor, so that each move is a rename.
+    An output name that is a folder in ``out`` leaves ``out`` as it was.
     """
-    for name in outputs:
+    names = sorted(os.listdir(stage))
+    for name in names:
         if (out / name).is_dir():
             raise IsADirectoryError(f"{out / name}: an output file cannot replace this folder")
-    base = out.absolute()
-    while not base.is_dir():
-        base = base.parent
-    with tempfile.TemporaryDirectory(prefix=".stoplemma-", dir=base) as stage:
-        for name, write in outputs.items():
-            write(Path(stage, name))
-        out.mkdir(parents=True, exist_ok=True)
-        for name in outputs:
-            Path(stage, name).replace(out / name)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (stage / name).replace(out / name)
 
 
 _CORPUS = ("--corpus", IDS, REQUIRED, "corpus folder whose *.txt files are its documents; repeatable")
@@ -386,13 +371,22 @@ def main(argv: list[str] | None = None) -> int:
         missing = [p for p in inputs if not Path(p).exists()]
         if missing:
             raise FileNotFoundError(f"input path(s) not found: {', '.join(missing)}")
-        outputs, hashes = command(argparse.Namespace(**given))
-        outputs["provenance.json"] = partial(write_json, {
-            "command": args.command,
-            "parameters": dict(sorted(vars(args).items())),
-            "inputs": {p: hashes[p] if p in hashes else _sha256(Path(p)) for p in sorted(set(inputs))},
-        })
-        _write_outputs(Path(args.out), outputs)
+        # Every output is written into a staging folder and moved into --out only when the run succeeds,
+        # so a failed run leaves --out as it was.  The folder is made in --out if it exists, else in its
+        # nearest existing ancestor, so that each move is a rename.
+        out = Path(args.out)
+        base = out.absolute()
+        while not base.is_dir():
+            base = base.parent
+        with tempfile.TemporaryDirectory(prefix=".stoplemma-", dir=base) as name:
+            stage = Path(name)
+            hashes = command(argparse.Namespace(**given), stage)
+            write_json({
+                "command": args.command,
+                "parameters": dict(sorted(vars(args).items())),
+                "inputs": {p: hashes[p] if p in hashes else _sha256(Path(p)) for p in sorted(set(inputs))},
+            }, stage / "provenance.json")
+            _move_outputs(stage, out)
         return EXIT_OK
     except (ComputeError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

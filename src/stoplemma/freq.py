@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import CorpusSource, Document
 from .lemma import LemmaLexicon
@@ -236,15 +236,7 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
     return RankedList(entries=tuple(counts.items()))
 
 
-def write_report(tables: Sequence[tuple[str, str, FrequencyTable]], path: str | Path) -> None:
-    """Per-source summary of ``(source ID, item kind, table)`` triples: total tokens and unique items."""
-    report = [
-        {
-            "source_id": source_id,
-            "item_kind": item_kind,
-            "total_tokens": t.total_tokens,
-            "unique_count": t.unique_count,
-        }
-        for source_id, item_kind, t in tables
-    ]
-    write_json(report, path)
+def write_report(rows: Iterable[tuple[str, str, int, int]], path: str | Path) -> None:
+    """Per-source summary of ``(source ID, item kind, total tokens, unique items)`` rows."""
+    keys = ("source_id", "item_kind", "total_tokens", "unique_count")
+    write_json([dict(zip(keys, row)) for row in rows], path)

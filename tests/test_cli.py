@@ -577,14 +577,27 @@ class TestNoPartialOutput:
         assert "File name too long" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_failing_writer_changes_no_out(self, tmp_path, monkeypatch, demo_args):
+    @pytest.mark.parametrize("failure", ["report", "second corpus"])
+    def test_a_failing_writer_changes_no_out(self, tmp_path, tmp_path_factory, monkeypatch, demo_args, failure):
         out = tmp_path / "out"
         argv = ["freq", "--corpus", demo_args["corpus"], "--out", out]
 
-        def full_disk(tables, path):
+        def full_disk(rows, path):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-        monkeypatch.setattr(freq_mod, "write_report", full_disk)
+        bad = tmp_path_factory.mktemp("bad") / "a.txt"
+        if failure == "report":
+            monkeypatch.setattr(freq_mod, "write_report", full_disk)
+        else:  # the first corpus's tables are staged before the second fails
+            bad.write_bytes(b"\xff not UTF-8\n")
+            argv[3:3] = ["--corpus", f"bad={bad.parent}"]
+            staged, load = [], corpus_mod.load_corpus
+
+            def load_corpus(root):
+                staged.append(sorted(p.name for p in tmp_path.rglob(".stoplemma-*/*")))
+                return load(root)
+
+            monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
         assert run(argv) == 1
         assert list(tmp_path.iterdir()) == []
         # an existing --out keeps every file a run does not write; a failed run changes none
@@ -594,7 +607,11 @@ class TestNoPartialOutput:
         assert run(argv) == 1
         assert tree_bytes(out) == {"keep.txt": b"keep", "words_demo.tsv": b"stale"}
         assert len(list(out.iterdir())) == 2
+        assert list(tmp_path.rglob(".stoplemma-*")) == []
+        if failure == "second corpus":
+            assert staged == [[], ["lemmas_demo.tsv", "words_demo.tsv"]] * 2
         monkeypatch.undo()
+        bad.write_text("घर\n", encoding="utf-8")
         assert run(argv) == 0
         tree = tree_bytes(out)
         assert tree["keep.txt"] == b"keep"
@@ -606,7 +623,7 @@ class TestNoPartialOutput:
         out = tmp_path / "a" / "b" / "out"
         argv = ["freq", "--corpus", demo_args["corpus"], "--out", out]
 
-        def full_disk(tables, path):
+        def full_disk(rows, path):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
         # the staging folder is made in tmp_path, the nearest existing ancestor, and removed
@@ -743,6 +760,20 @@ class TestOneCorpusAndOneRankedTableAtATime:
             assert os.getpid() not in {pid for pid, _ in loads}
         else:  # one CPU, or a count the platform cannot give
             assert loads == [(os.getpid(), 0)] * 3
+
+    def test_freq_frees_each_corpus_tables_before_the_next_one_loads(self, tmp_path, monkeypatch):
+        tables, alive = LiveRecords(monkeypatch, freq_mod.FrequencyTable), []
+        load = corpus_mod.load_corpus
+
+        def load_corpus(*args, **kwargs):
+            alive.append(len(tables))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(freq_mod, "count_words", tables.track(freq_mod.count_words))
+        monkeypatch.setattr(freq_mod, "lemma_table", tables.track(freq_mod.lemma_table))
+        monkeypatch.setattr(corpus_mod, "load_corpus", load_corpus)
+        assert run(["freq", *self.corpora(tmp_path), "--out", tmp_path / "out"]) == 0
+        assert alive == [0, 0, 0]
 
     def test_freq_holds_one_ranked_table_at_a_time(self, tmp_path, monkeypatch):
         ranked, alive = LiveRecords(monkeypatch, freq_mod.RankedList), []
