@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from functools import partial
 from itertools import starmap
 from pathlib import Path
@@ -98,11 +99,55 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-# private, as induce's workers are sent it by name, and bench/inproc.py wraps each public function in a closure
+def _cpus_to_fork() -> int:
+    """The usable CPUs, or 1 where this process may not fork.
+
+    fork copies only the calling thread, so a process that runs other threads (one of
+    which may hold a lock at the fork), or cannot fork, does its work in-process.
+    """
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _worker_pool(workers: int, task: str):
+    """A pool of ``workers`` forked processes, which start with the modules loaded.
+
+    A worker that dies, as by the out-of-memory killer, is an OSError naming
+    ``task``.  On leaving, no pending task starts and every worker has exited.
+    """
+    # imported here, so that no subcommand that works in-process pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise OSError(f"a worker process {task} died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# The worker functions are private, as a worker is sent its function by name,
+# and bench/inproc.py wraps each public function in a closure, which has none.
+
 def _count_corpus(path: str, policy: FilterPolicy) -> tuple[freq_mod.FrequencyTable, str]:
     """A corpus's word table, its counts a plain dict, and its hash (defined at ``freq.count_document_words``)."""
     h = hashlib.sha256()
     return freq_mod.count_words(corpus_mod.load_corpus(path), policy, h), h.hexdigest()
+
+
+def _posstats_cells(ranked: list[tuple[str, str]], pos_lexicon: str, depth: int | None, use_frequency: bool) -> tuple:
+    """``posstats``'s inputs read and its cells built, all but each p (see ``stats._pos_cells``)."""
+    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in ranked}
+    tags = stats_mod.load_pos_lexicon(pos_lexicon)
+    return stats_mod._pos_cells(lists, tags, depth, use_frequency)
 
 
 def _policy_from_args(args) -> FilterPolicy:
@@ -147,14 +192,8 @@ def cmd_induce(args, stage: Path) -> dict:
     lex = _load_lexicon_arg(args)
 
     lists = [induce_mod.load_stopword_list(path) for _, path in args.stoplist]
-    # one worker process per corpus, up to the usable CPUs; map keeps the corpora's order.
-    # Workers are forked, so they start with the modules loaded, but fork copies only the
-    # calling thread: a process that runs other threads, or cannot fork, counts its corpora itself.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    workers = min(len(args.corpus), cpus) if threading.active_count() == 1 and hasattr(os, "fork") else 1
+    # one worker process per corpus, up to the usable CPUs; map keeps the corpora's order
+    workers = min(len(args.corpus), _cpus_to_fork())
     paths = [path for _, path in args.corpus]
     count = partial(_count_corpus, policy=policy)
     def collapse(words, tree):  # in this process, the only one that holds the lexicon, as each word table arrives
@@ -162,18 +201,8 @@ def cmd_induce(args, stage: Path) -> dict:
     if workers == 1:
         counted = list(starmap(collapse, map(count, paths)))
     else:
-        # imported here, so that no other subcommand's start-up pays for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
+        with _worker_pool(workers, "counting the corpora") as pool:
             counted = list(starmap(collapse, pool.map(count, paths)))
-        except BrokenProcessPool as exc:  # a worker was killed, as by the out-of-memory killer
-            raise OSError(f"a worker process counting the corpora died: {exc}") from None
-        finally:
-            pool.shutdown(cancel_futures=True)  # after an error, no pending corpus is counted
     lemma_counts, trees = zip(*counted)
 
     set_a = induce_mod.build_set_a(lists, lex, k=args.k_a)
@@ -202,9 +231,18 @@ def cmd_overlap(args, stage: Path) -> dict:
 def cmd_posstats(args, stage: Path) -> dict:
     if not math.isfinite(args.threshold):  # JSON has no NaN or Infinity to write
         raise ValueError(f"--threshold must be a finite number, got {args.threshold!r}")
-    lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
-    tags = stats_mod.load_pos_lexicon(args.pos_lexicon)
-    report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
+    # The scipy import is most of posstats's time.  With a CPU to spare, and the import still to come,
+    # a forked worker reads the inputs and builds the cells while this process imports scipy.
+    if _cpus_to_fork() > 1 and "scipy.special" not in sys.modules:
+        with _worker_pool(1, "reading the ranked lists") as pool:
+            future = pool.submit(_posstats_cells, args.ranked, args.pos_lexicon, args.depth, args.use_frequency)
+            import scipy.special  # stats._p_value's import, made while the worker reads
+            staged = future.result()
+        report = stats_mod._pos_report(*staged)
+    else:
+        lists = {ident: freq_mod.read_ranked_tsv(path) for ident, path in args.ranked}
+        tags = stats_mod.load_pos_lexicon(args.pos_lexicon)
+        report = stats_mod.pos_rank_analysis(lists, tags, depth=args.depth, use_frequency=args.use_frequency)
     if all(s["mean_r"] is None for s in report["summaries"]):
         raise ComputeError("correlation undefined for every (group, source) cell")
     stats_mod.write_correlation_tsv(report, stage / "posstats.tsv")

@@ -1,4 +1,9 @@
 import pytest
+# posstats forks a worker to read its inputs while it imports scipy, but only while
+# scipy is still to import.  Importing it here makes every posstats that a test runs
+# in this process take the in-process path, whichever test runs first; test_cli.py
+# runs the pooled path in fresh interpreters.
+import scipy.special
 
 from stoplemma import data_path
 

@@ -24,6 +24,8 @@ from stoplemma import freq as freq_mod
 from stoplemma import induce as induce_mod
 from stoplemma import lemma as lemma_mod
 from stoplemma.cli import COMMANDS, IDS, REQUIRED, SWITCH, main
+from test_golden import COMMANDS as GOLDEN_COMMANDS, GOLDEN
+from test_golden import tree_digest as golden_digest
 
 
 def run(argv):
@@ -1262,7 +1264,15 @@ def test_provenance_names_inputs(tmp_path, demo_args):
         assert len(digest) == 64
 
 
-# Run in a fresh interpreter: this process may have imported scipy already.
+def run_python(*args, cwd=None):
+    """A fresh interpreter, which imports the stoplemma under test, run to its end."""
+    src = Path(stoplemma.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+# Run in a fresh interpreter: this process has imported scipy already (see conftest.py).
 _NO_SCIPY_SCRIPT = """
 import sys
 from pathlib import Path
@@ -1297,11 +1307,7 @@ assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
 
 
 def test_only_posstats_imports_scipy(tmp_path):
-    src = Path(stoplemma.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", _NO_SCIPY_SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "overlap", "assess", "posstats"}
 
@@ -1312,27 +1318,41 @@ import sys
 from stoplemma import data_path
 from stoplemma.cli import main
 
-pool_modules = ["concurrent.futures", "multiprocessing"]
-assert not [m for m in pool_modules if m in sys.modules], "importing the CLI imported a pool module"
-os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
-out = sys.argv[1]
+pool_modules = ["concurrent.futures.process", "multiprocessing"]  # scipy.special imports concurrent.futures
+def pooled():
+    return [m for m in pool_modules if m in sys.modules]
+assert not pooled(), "importing the CLI imported a pool module"
+out, pooling = sys.argv[1:]  # pooling: the command that this run lets pool
 corpora = [a for i in (1, 2) for a in ("--corpus", f"c{i}={data_path('demo_corpus')}")]
-assert main(["freq", *corpora, "--out", out + "/freq"]) == 0
-assert not [m for m in pool_modules if m in sys.modules], "freq imported a pool module"
-stoplist = f"l1={data_path('demo_stoplists', 'list1.txt')}"
-assert main(["induce", "--stoplist", stoplist, *corpora, "--out", out + "/induce"]) == 0
-assert all(m in sys.modules for m in pool_modules), "induce counted two corpora without a pool"
+ranked = [a for p in sorted(data_path("table3_top10").glob("*.tsv")) for a in ("--ranked", f"{p.stem}={p}")]
+argvs = {
+    "freq": ["freq", *corpora],
+    "overlap": ["overlap", *ranked],
+    "assess": ["assess", "--mapping", str(data_path("english_hindi_mapping.tsv")),
+               "--list", str(data_path("table5_stoplemmas.txt"))],
+    "posstats": ["posstats", *ranked, "--pos-lexicon", str(data_path("demo_pos_lexicon.tsv"))],
+    "induce": ["induce", "--stoplist", f"l1={data_path('demo_stoplists', 'list1.txt')}", *corpora],
+}
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+for name in ("freq", "overlap", "assess"):
+    assert main([*argvs[name], "--out", f"{out}/{name}"]) == 0
+    assert not pooled(), f"{name} imported a pool module"
+if pooling == "induce":  # posstats pools only with a CPU to spare
+    os.sched_getaffinity = lambda pid: {0}
+    assert main([*argvs["posstats"], "--out", f"{out}/posstats"]) == 0
+    assert not pooled(), "posstats imported a pool module on one CPU"
+    os.sched_getaffinity = lambda pid: {0, 1}
+assert main([*argvs[pooling], "--out", f"{out}/{pooling}"]) == 0
+assert all(m in sys.modules for m in pool_modules), f"{pooling} ran on two CPUs without a pool"
 """
 
 
-def test_only_induce_imports_the_process_pool(tmp_path):
+@pytest.mark.parametrize("pooling", ["induce", "posstats"])
+def test_only_a_pooled_induce_or_posstats_imports_the_process_pool(tmp_path, pooling):
     # an import at CLI start-up would add to every subcommand's setup time
-    src = Path(stoplemma.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_POOL_SCRIPT, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", _LAZY_POOL_SCRIPT, tmp_path, pooling)
     assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "overlap", "assess", "posstats", pooling}
 
 
 _DEV_MODE_POOL_SCRIPT = """
@@ -1349,33 +1369,113 @@ stoplist = f"l1={data_path('demo_stoplists', 'list1.txt')}"
 assert main(["induce", "--stoplist", stoplist, *corpora, *lexicon, "--out", out + "/induce"]) == 0
 assert "multiprocessing" in sys.modules, "induce counted two corpora without a pool"
 assert main(["freq", *corpora, *lexicon, "--out", out + "/freq"]) == 0
+assert "scipy.special" not in sys.modules, "posstats would not pool"
+ranked = [a for p in sorted(data_path("table3_top10").glob("*.tsv")) for a in ("--ranked", f"{p.stem}={p}")]
+assert main(["posstats", *ranked, "--pos-lexicon", str(data_path("demo_pos_lexicon.tsv")),
+             "--out", out + "/posstats"]) == 0
 """
 
 
-def test_a_pooled_induce_and_freq_give_no_warning_in_dev_mode(tmp_path):
+def test_a_pooled_induce_and_posstats_and_freq_give_no_warning_in_dev_mode(tmp_path):
     # -X dev shows ResourceWarning and the other development-mode warnings, and -W error makes each an error:
     # an unclosed pipe or file, or a fork in a process that runs threads (which Python 3.12 warns of), fails it.
     # A warning raised while an object is finalized only prints to stderr, so stderr must be empty
-    src = Path(stoplemma.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_MODE_POOL_SCRIPT, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    proc = run_python("-X", "dev", "-W", "error", "-c", _DEV_MODE_POOL_SCRIPT, tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce"}
+    assert {p.name for p in tmp_path.iterdir()} == {"freq", "induce", "posstats"}
+
+
+# posstats in a fresh interpreter, where scipy is still to import, on two usable CPUs:
+# a forked worker reads the inputs.  Prints the exit code, the processes that read
+# a ranked list, this one's, and how many children are still alive.
+_POSSTATS_POOL_SCRIPT = """
+import json
+import multiprocessing
+import os
+import sys
+from stoplemma import cli
+from stoplemma import freq
+
+readers, read = multiprocessing.SimpleQueue(), freq.read_ranked_tsv
+def logged_read(path):  # a forked worker inherits the patch
+    readers.put(os.getpid())
+    return read(path)
+def die(*args):  # as a worker ends that the out-of-memory killer stops
+    os._exit(3)
+
+freq.read_ranked_tsv = logged_read
+if sys.argv[1] == "die":
+    cli._posstats_cells = die  # sent to the worker by name, which the fork gave it
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+code = cli.main(sys.argv[2:])
+pids = set()
+while not readers.empty():
+    pids.add(readers.get())
+print(json.dumps({"code": code, "readers": sorted(pids), "pid": os.getpid(),
+                  "children": len(multiprocessing.active_children())}))
+"""
+
+
+def run_pooled_posstats(argv, cwd=None, worker="reads"):
+    proc = run_python("-c", _POSSTATS_POOL_SCRIPT, worker, *argv, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if worker == "reads":
+        assert result["readers"] and result["pid"] not in result["readers"], "posstats read its lists in-process"
+    assert result["children"] == 0
+    return result["code"], proc.stderr
+
+
+@pytest.mark.parametrize("name", ["posstats", "posstats-frequency"])
+def test_a_pooled_posstats_writes_the_golden_tree_as_a_one_cpu_run_does(tmp_path, monkeypatch, name):
+    shutil.copytree(data_path(), tmp_path / "data")
+    argv = [*GOLDEN_COMMANDS[name], "--out", name]  # as test_golden.py runs it
+    assert run_pooled_posstats(argv, cwd=tmp_path) == (0, "")
+    pooled = tree_bytes(tmp_path / name)
+    shutil.rmtree(tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run(argv) == 0
+    assert tree_bytes(tmp_path / name) == pooled
+    assert golden_digest(tmp_path / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("bad, text", [("ranked", "a\t1\nb\t5\nc\t9\n"), ("pos", "a\tNN\na\tVM\n")])
+def test_a_pooled_posstats_input_error_exits_1_as_in_process(tmp_path, capsys, bad, text):
+    inputs = {"ranked": tmp_path / "ranked.tsv", "pos": tmp_path / "pos.tsv"}
+    inputs["ranked"].write_text("a\t9\nb\t5\nc\t1\n", encoding="utf-8")
+    inputs["pos"].write_text("a\tNN\nb\tVM\n", encoding="utf-8")
+    inputs[bad].write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["posstats", "--ranked", f"r={inputs['ranked']}", "--pos-lexicon", inputs["pos"], "--out", out]
+    code, err = run_pooled_posstats(argv)
+    assert code == 1
+    assert err.startswith(f"error: {inputs[bad]}:2: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert run(argv) == 1  # in this process, which has imported scipy
+    assert capsys.readouterr().err == err
+
+
+def test_a_posstats_worker_that_dies_exits_1(tmp_path, demo_args):
+    out = tmp_path / "out"
+    argv = ["posstats", *[a for r in demo_args["ranked"] for a in ("--ranked", r)],
+            "--pos-lexicon", data_path("demo_pos_lexicon.tsv"), "--out", out]
+    code, err = run_pooled_posstats(argv, worker="die")
+    assert code == 1
+    assert err.startswith("error: a worker process reading the ranked lists died: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # the records are named tuples; dataclasses would import inspect, ast, dis and tokenize at every start-up.
     # Only what the import adds counts, since a .pth file in site-packages may import them itself
-    src = Path(stoplemma.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import stoplemma.cli\n"
               "added = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
               "assert not added, f'importing the CLI imported {sorted(added)}'\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
