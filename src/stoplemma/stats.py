@@ -59,8 +59,8 @@ def point_biserial(membership: Sequence[int], ranks: Sequence[float]) -> tuple[f
     var = _population_variance(ranks)
     s1 = sum(x for m, x in zip(membership, ranks) if m == 1)
     s0 = sum(x for m, x in zip(membership, ranks) if m == 0)
-    r, t = _r_and_t(n, sum(membership), s1, s0, var)
-    return r, _p_value(n - 2, t)
+    r = _r(n, sum(membership), s1, s0, var)
+    return r, _p_value(n, r)
 
 
 def _mean_and_ss(values: Sequence[float]) -> tuple[float, float]:
@@ -76,11 +76,8 @@ def _population_variance(values: Sequence[float]) -> float:
     return var
 
 
-def _r_and_t(n: int, n1: int, s1: float, s0: float, var: Optional[float], squares=None) -> tuple[float, Optional[float]]:
-    """point_biserial's r and t from the member count, both groups' sums and the population variance.
-
-    t is None where p is 0.0 without it, as at an r of ±1.
-    """
+def _r(n: int, n1: int, s1: float, s0: float, var: Optional[float], squares=None) -> float:
+    """point_biserial's r from the member count, both groups' sums and the population variance."""
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedCorrelationError("membership is constant")
@@ -88,17 +85,14 @@ def _r_and_t(n: int, n1: int, s1: float, s0: float, var: Optional[float], square
         raise UndefinedCorrelationError("counts have zero variance")
     # from the exact sums and sum of squares, an exact r of ±1, which the float r may miss in its last bits
     if squares is not None and n0 * s1 != n1 * s0 and n0 * s1 * s1 + n1 * s0 * s0 == n1 * n0 * squares:
-        return (1.0 if n0 * s1 > n1 * s0 else -1.0), None
+        return 1.0 if n0 * s1 > n1 * s0 else -1.0
     r = ((s1 / n1 - s0 / n0) / math.sqrt(var)) * math.sqrt(n1 * n0 / n**2)
-    r = max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, r))
+
+
+def _p_value(n: int, r: float) -> float:
+    """point_biserial's two-tailed p of r over n observations."""
     if abs(r) == 1.0:
-        return r, None
-    return r, r * math.sqrt((n - 2) / (1 - r * r))
-
-
-def _p_value(df: int, t: Optional[float]) -> float:
-    """The two-tailed p of ``t`` on ``df`` degrees of freedom; 0.0 where t is None."""
-    if t is None:
         return 0.0
     # imported here, not at module level: scipy costs every other subcommand
     # most of its start-up time and memory, and only this call needs it.
@@ -106,7 +100,8 @@ def _p_value(df: int, t: Optional[float]) -> float:
     # as scipy's t distribution object gives, at a third of its import time
     from scipy.special import stdtr
 
-    return 2 * float(stdtr(df, -abs(t)))
+    t = r * math.sqrt((n - 2) / (1 - r * r))
+    return 2 * float(stdtr(n - 2, -abs(t)))
 
 
 def descriptive_stats(values: Sequence[float]) -> tuple[float, Optional[float], float, float]:
@@ -146,27 +141,26 @@ def pos_rank_analysis(
 
 
 def _pos_cells(lists: Mapping[str, RankedList], tags: Mapping[str, str], depth: Optional[int],
-               use_frequency: bool) -> tuple[list[dict], list[Optional[float]], int]:
-    """``pos_rank_analysis``'s first stage, which needs no scipy: its cells, each p None for now,
-    each cell's t (see ``_r_and_t``) and the depth."""
+               use_frequency: bool) -> tuple[list[dict], int]:
+    """``pos_rank_analysis``'s first stage, which needs no scipy: its cells, each p None for now, and the depth."""
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     longest = max(map(len, lists.values()), default=0)
-    columns = []  # columns[s][g] is the cell of group g in source s, and its t
+    columns = []  # columns[s][g] is the cell of group g in source s
     for sid, ranked in lists.items():
         try:
             columns.append(_source_cells(sid, ranked.entries[:depth], tags, use_frequency))
         except OverflowError as exc:  # a count beyond what a float holds
             raise ValueError(f"source {sid}: count too large to correlate: {exc}") from None
-    rows = [column[g] for g in range(len(DEFAULT_GROUPS)) for column in columns]
-    return [cell for cell, _ in rows], [t for _, t in rows], min(depth or longest, longest)
+    cells = [column[g] for g in range(len(DEFAULT_GROUPS)) for column in columns]
+    return cells, min(depth or longest, longest)
 
 
-def _pos_report(cells: list[dict], ts: list[Optional[float]], depth: int) -> dict:
+def _pos_report(cells: list[dict], depth: int) -> dict:
     """``pos_rank_analysis``'s second stage: each defined cell's p, then each group's summary."""
-    for cell, t in zip(cells, ts):
+    for cell in cells:
         if cell["error"] is None:
-            cell["p"] = _p_value(cell["n1"] + cell["n0"] - 2, t)
+            cell["p"] = _p_value(cell["n1"] + cell["n0"], cell["r"])
     summaries = []
     for group in DEFAULT_GROUPS:
         row = [c for c in cells if c["group"] == group]
@@ -188,11 +182,11 @@ def _cell(group: str, sid: str, n1: int, n0: int, r=None, p=None, error=None) ->
 
 
 def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[str, str],
-                  use_frequency: bool) -> list[tuple[dict, Optional[float]]]:
-    """One source's cell for each of DEFAULT_GROUPS, in their order, each with its t (see ``_r_and_t``)."""
+                  use_frequency: bool) -> list[dict]:
+    """One source's cell for each of DEFAULT_GROUPS, in their order, each p None for now."""
     n = len(entries)
     if n < 3:
-        return [(_cell(group, sid, 0, 0, error="fewer than 3 entries"), None) for group in DEFAULT_GROUPS]
+        return [_cell(group, sid, 0, 0, error="fewer than 3 entries") for group in DEFAULT_GROUPS]
     if use_frequency:
         ints = [count for _, count in entries]
         # counts become floats before any cell: one that no float holds fails
@@ -215,11 +209,11 @@ def _source_cells(sid: str, entries: Sequence[tuple[str, int]], tags: Mapping[st
     for g, group in enumerate(DEFAULT_GROUPS):
         n1, n0 = sizes[g], n - sizes[g]
         try:
-            r, t = _r_and_t(n, n1, sums[g], total - sums[g], var, squares)
+            r = _r(n, n1, sums[g], total - sums[g], var, squares)
         except UndefinedCorrelationError as exc:
-            cells.append((_cell(group, sid, n1, n0, error=str(exc)), None))
+            cells.append(_cell(group, sid, n1, n0, error=str(exc)))
         else:
-            cells.append((_cell(group, sid, n1, n0, r), t))
+            cells.append(_cell(group, sid, n1, n0, r))
     return cells
 
 

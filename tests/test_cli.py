@@ -1318,7 +1318,7 @@ import sys
 from stoplemma import data_path
 from stoplemma.cli import main
 
-pool_modules = ["concurrent.futures.process", "multiprocessing"]  # scipy.special imports concurrent.futures
+pool_modules = ["concurrent.futures", "multiprocessing"]
 def pooled():
     return [m for m in pool_modules if m in sys.modules]
 assert not pooled(), "importing the CLI imported a pool module"
@@ -1337,6 +1337,7 @@ os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
 for name in ("freq", "overlap", "assess"):
     assert main([*argvs[name], "--out", f"{out}/{name}"]) == 0
     assert not pooled(), f"{name} imported a pool module"
+pool_modules = ["concurrent.futures.process", "multiprocessing"]  # scipy.special imports concurrent.futures
 if pooling == "induce":  # posstats pools only with a CPU to spare
     os.sched_getaffinity = lambda pid: {0}
     assert main([*argvs["posstats"], "--out", f"{out}/posstats"]) == 0
