@@ -1,5 +1,7 @@
+import ast
 import builtins
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import stoplemma
+from stoplemma import cli
 from stoplemma import corpus as corpus_mod
 from stoplemma import data_path
 from stoplemma import freq as freq_mod
@@ -1466,6 +1469,160 @@ def test_a_posstats_worker_that_dies_exits_1(tmp_path, demo_args):
     assert err.startswith("error: a worker process reading the ranked lists died: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def scaled_argvs(root, scale):
+    """Each subcommand's argv, less --out, over the bundled inputs ×``scale``: each corpus holds every
+    demo document ``scale`` times, each line file is its text ``scale`` times over, and each ranked
+    list is given under ``scale`` IDs.  induce and freq get two corpora, so that induce can pool."""
+    root.mkdir()
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for doc in sorted(data_path("demo_corpus").glob("*.txt")):
+        for i in range(scale):
+            shutil.copyfile(doc, corpus / f"{i}_{doc.name}")
+
+    def lines(*parts):
+        path = root / parts[-1]
+        path.write_text(data_path(*parts).read_text(encoding="utf-8") * scale, encoding="utf-8")
+        return path
+
+    corpora = [a for ident in ("c1", "c2") for a in ("--corpus", f"{ident}={corpus}")]
+    lexicon = ["--lexicon", lines("demo_lexicon.tsv")]
+    ranked = [a for p in sorted(data_path("table3_top10").glob("*.tsv")) for i in range(scale)
+              for a in ("--ranked", f"{p.stem}_{i}={p}")]
+    stoplists = [a for i in (1, 2, 3) for a in ("--stoplist", f"l{i}={lines('demo_stoplists', f'list{i}.txt')}")]
+    return {
+        "freq": ["freq", *corpora, *lexicon],
+        "induce": ["induce", *stoplists, *corpora, *lexicon],
+        "overlap": ["overlap", *ranked],
+        "posstats": ["posstats", *ranked, "--pos-lexicon", lines("demo_pos_lexicon.tsv")],
+        "assess": ["assess", "--mapping", lines("english_hindi_mapping.tsv"),
+                   "--list", lines("table5_stoplemmas.txt"), *lexicon],
+    }
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic GC back as it was, enabled or not, after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_run_leaves_as_much_cyclic_garbage_on_four_times_the_input(tmp_path, monkeypatch, collector, command):
+    # cli.run() switches the collector off for the whole process, which is safe only while the garbage
+    # that nothing but the collector frees stays bounded, whatever the size of the inputs.  Only this
+    # process's garbage is counted; freq and this process's posstats run the workers' functions in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # induce counts in a pool
+    pools, pool = [], cli._worker_pool
+    monkeypatch.setattr(cli, "_worker_pool", lambda workers, task: pools.append(workers) or pool(workers, task))
+    argvs = {scale: scaled_argvs(tmp_path / f"x{scale}", scale)[command] for scale in (1, 4)}
+    found = []
+    for n, scale in enumerate((1, 1, 4)):  # the first run pays the garbage of the one-time imports
+        gc.collect()
+        gc.disable()
+        assert run([*argvs[scale], "--out", tmp_path / f"out{n}"]) == 0
+        found.append(gc.collect())
+        gc.enable()
+    assert found[1] == found[2], found
+    # posstats pools only while scipy is still to import, which conftest.py has imported
+    assert pools == ([2] * 3 if command == "induce" else [])
+
+
+_GC_COUNT_SCRIPT = """
+import gc
+gc.disable()
+import os
+import sys
+from stoplemma import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+code = cli.main(sys.argv[1:])
+print(code, gc.collect(), "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_a_pooled_posstats_leaves_as_much_cyclic_garbage_on_four_times_the_input(tmp_path):
+    # a fresh interpreter per scale, as posstats pools only while scipy is still to import; each count
+    # includes the garbage of every import, which is the same at both scales
+    printed = []
+    for scale in (1, 4):
+        argv = scaled_argvs(tmp_path / f"x{scale}", scale)["posstats"]
+        proc = run_python("-c", _GC_COUNT_SCRIPT, *argv, "--out", tmp_path / f"out{scale}")
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    code, found, pooled = printed[0].split()
+    assert (code, pooled) == ("0", "True")
+    assert printed[1] == printed[0]
+
+
+def test_main_leaves_the_collector_of_its_caller_as_it_was(tmp_path, monkeypatch, collector):
+    # only cli.run(), the process entry, switches the collector off and freezes it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argvs = scaled_argvs(tmp_path / "in", 1)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        for name, argv in argvs.items():
+            frozen = gc.get_freeze_count()
+            assert run([*argv, "--out", tmp_path / f"{name}-{enabled}"]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), name
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_installed_script_calls_the_function_that_python_m_calls():
+    import tomllib
+    root = Path(__file__).resolve().parents[1]
+    script = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["stoplemma"]
+    module, _, function = script.partition(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node.body for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block] == [f"sys.exit({function}())"]
+    assert callable(getattr(cli, function))
+
+
+@pytest.mark.parametrize("case", ["compute error", "input error"])
+def test_python_m_exits_with_one_error_line(tmp_path, case):
+    ranked, pos = tmp_path / "r.tsv", tmp_path / "pos.tsv"
+    ranked.write_text("का\t2\nहै\t1\n", encoding="utf-8")  # two entries: every cell fails n >= 3
+    pos.write_text("का\tPSP\n", encoding="utf-8")
+    missing = tmp_path / "missing.tsv"
+    code, message, lexicon = {
+        "compute error": (2, "correlation undefined for every (group, source) cell", pos),
+        "input error": (1, f"input path(s) not found: {missing}", missing),
+    }[case]
+    out = tmp_path / "out"
+    proc = run_python("-m", "stoplemma.cli", "posstats", "--ranked", f"a={ranked}", "--pos-lexicon", lexicon,
+                      "--out", out)
+    assert (proc.returncode, proc.stderr) == (code, f"error: {message}\n")
+    assert not out.exists()
+
+
+_DEV_MODE_ENTRY_SCRIPT = """
+import gc
+import os
+import sys
+from stoplemma import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+code = cli.run()  # on the arguments that follow the script
+assert "concurrent.futures.process" in sys.modules, "the run used no pool"
+assert not gc.isenabled() and gc.get_freeze_count() > 0, "the run left the collector on or unfrozen"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["induce", "posstats"])
+def test_a_pooled_run_through_the_process_entry_gives_no_warning_in_dev_mode(tmp_path, command):
+    # as test_a_pooled_induce_and_posstats_and_freq_give_no_warning_in_dev_mode, through cli.run(),
+    # so that the shutdown of a frozen process is checked too
+    argv = scaled_argvs(tmp_path / "in", 1)[command]
+    proc = run_python("-X", "dev", "-W", "error", "-c", _DEV_MODE_ENTRY_SCRIPT, *argv, "--out", tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "provenance.json").is_file()
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
