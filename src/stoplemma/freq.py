@@ -7,14 +7,15 @@ import os
 import re
 import unicodedata
 from collections import Counter
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, groupby
+from operator import eq, ge, itemgetter, lt
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import CorpusSource, Document
 from .lemma import LemmaLexicon
-from .normalize import PLAIN_WORD, FilterPolicy, classify, read_records, read_text, scan_surfaces, write_json
+from .normalize import (PLAIN_WORD, FilterPolicy, _columns, _records, classify, read_text, scan_surfaces,
+                        write_json)
 
 # A document is read in blocks of this many bytes, so that no token list
 # holds a whole document; each block is counted up to its last ASCII
@@ -215,11 +216,19 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
 
     Counts are non-negative integers in ASCII digits, within ``int()``'s
     digit limit, no item repeats and each record ranks below the one before;
-    otherwise the ``ValueError`` names ``path:lineno``.
+    otherwise the ``ValueError`` names ``path:lineno``.  A file as ``write_tsv``
+    writes it is read by ``normalize._columns`` and checked a column at a
+    time; any other file, or one that fails a check, is read line by line,
+    which names the error.
     """
+    text = read_text(path)
+    columns = _columns(text)
+    entries = _ranked_entries(*columns) if columns else None
+    if entries is not None:
+        return RankedList(entries=entries)
     counts: dict[str, int] = {}
     last_count, last_item = float("inf"), ""  # the record before; any first record follows it
-    for lineno, (item, count) in read_records(path, 2):
+    for lineno, (item, count) in _records(path, text, 2):
         if not (count.isascii() and count.isdigit()):
             raise ValueError(f"{path}:{lineno}: count must be a non-negative integer, got {count!r}")
         if item in counts:
@@ -234,6 +243,23 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
                              f"(count descending, ties in codepoint order)")
         last_count, last_item = n, item
     return RankedList(entries=tuple(counts.items()))
+
+
+def _ranked_entries(items: list[str], counts: list[str]) -> tuple[tuple[str, int], ...] | None:
+    """The entries of ``read_ranked_tsv``'s item and count columns if they pass its checks, else None.
+
+    Where two counts in a row are equal, the second item must sort after the first.
+    """
+    if not ("".join(counts).isascii() and all(map(str.isdigit, counts))) or len(set(items)) < len(items):
+        return None
+    try:
+        ns = list(map(int, counts))
+    except ValueError:  # more digits than int() converts
+        return None
+    ties = list(map(eq, ns, ns[1:]))
+    if all(map(ge, ns, ns[1:])) and all(map(lt, compress(items, ties), compress(items[1:], ties))):
+        return tuple(zip(items, ns))
+    return None
 
 
 def write_report(rows: Iterable[tuple[str, str, int, int]], path: str | Path) -> None:

@@ -5,8 +5,13 @@ kind and ``FilterPolicy.keeps`` says whether that kind is counted.  Counting
 and lexicon lookup assume NFC text: ``read_records`` normalizes each line of
 a record file, ``freq.count_document_words`` each distinct corpus token that
 ``PLAIN_WORD`` (already NFC) does not match.  Every record file and config
-file is decoded here, as UTF-8 less a leading BOM, by ``read_text``, and
-split into lines by ``split_lines``.  Corpus documents are read in blocks and
+file is decoded here, as UTF-8 less a leading BOM, by ``read_text``.  A
+record file takes one of two routes.  Two-field text in the form ``freq``
+writes is cut into its key and value columns whole by ``_columns``, and
+``read_pairs`` and ``freq.read_ranked_tsv`` check those columns whole; any
+other text, or columns that fail a check, goes line by line through
+``read_records``'s loop over ``split_lines``, which yields the same records
+and alone reports errors.  Corpus documents are read in blocks and
 counted as bytes by ``freq.count_document_words``, which decodes the distinct
 tokens and, for a document that is not UTF-8, raises ``read_text``'s error.
 ``write_json`` writes every JSON output.
@@ -125,7 +130,12 @@ def read_records(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]
     without a tab are skipped; every other line must hold exactly ``fields``
     non-empty fields, else a ``ValueError`` names ``path:lineno``.
     """
-    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
+    yield from _records(path, read_text(path), fields)
+
+
+def _records(path: str | Path, text: str, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """``read_records`` over ``text``, the decoded file ``path``."""
+    for lineno, line in enumerate(split_lines(text), start=1):
         line = unicodedata.normalize("NFC", line.strip())
         if not line or (line.startswith("#") and "\t" not in line):
             continue
@@ -136,10 +146,48 @@ def read_records(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]
         yield lineno, parts
 
 
+# Two-field record text as the toolkit writes it: every line, the last one
+# included, ends at "\n" and is key<TAB>value, with one tab, no "\r" and
+# nothing str.strip() removes at either end (re's \s is str.isspace()).
+# Each such line is one record of read_records, whose line number is its
+# index + 1, with neither field empty.  Possessive, so no failed line
+# backtracks into the lines before it.
+_AS_WRITTEN = re.compile(r"(?:\S[^\t\n\r]*\t[^\t\n\r]*\S\n)*+")
+
+
+def _columns(text: str) -> tuple[list[str], list[str]] | None:
+    """The key and value columns of ``text``'s records, NFC-normalized, if it is as the toolkit writes it; else None.
+
+    Lines are normalized one at a time, and only when the whole text is not
+    NFC: as "\n" composes with nothing, a line of NFC text is NFC.
+    Normalizing keeps every tab and every whitespace character at a line's
+    end (the only whitespace NFC changes, U+2000 and U+2001, becomes
+    whitespace), so it keeps what ``_AS_WRITTEN`` matches.
+    """
+    if not unicodedata.is_normalized("NFC", text):
+        text = "\n".join([unicodedata.normalize("NFC", line) for line in text.split("\n")])
+    if not _AS_WRITTEN.fullmatch(text):
+        return None
+    cells = text.replace("\n", "\t").split("\t")  # the last cell is the "" after the final "\n"
+    return cells[0:-1:2], cells[1::2]
+
+
 def read_pairs(path: str | Path) -> dict[str, str]:
-    """``key -> value`` of two-field records; a key given a second, different value is an error."""
-    pairs: dict[str, str] = {}
-    for lineno, (key, value) in read_records(path, 2):
+    """``key -> value`` of two-field records; a key given a second, different value is an error.
+
+    Text as the toolkit writes it is read by ``_columns`` and checked whole:
+    every record must agree with the dict of all of them.  Other text, or
+    text that fails the check, is read line by line, which names the error.
+    """
+    text = read_text(path)
+    columns = _columns(text)
+    if columns is not None:
+        keys, values = columns
+        pairs = dict(zip(keys, values))
+        if list(map(pairs.__getitem__, keys)) == values:
+            return pairs
+    pairs = {}
+    for lineno, (key, value) in _records(path, text, 2):
         if pairs.setdefault(key, value) != value:
             raise ValueError(f"{path}:{lineno}: conflicting value for {key!r}: "
                              f"{pairs[key]!r} vs {value!r}")

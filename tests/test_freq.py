@@ -185,6 +185,19 @@ def test_ranked_tsv_count_must_be_ascii_digits(tmp_path, count):
         read_ranked_tsv(path)
 
 
+def test_ranked_tsv_count_beyond_a_lowered_int_digit_limit_names_its_line(tmp_path):
+    # PYTHONINTMAXSTRDIGITS can lower the limit below its default of 4300
+    path = tmp_path / "r.tsv"
+    path.write_text(f"का\t5\nहै\t{'9' * 700}\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: count has 700 digits, more than int() accepts") + "$"):
+            read_ranked_tsv(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_ranked_tsv_repeated_item_rejected(tmp_path):
     # the NFD spelling of ऩ is the same item once normalized
     path = tmp_path / "r.tsv"

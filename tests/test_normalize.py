@@ -1,12 +1,19 @@
+import builtins
+import contextlib
 import io
 import itertools
+import os
 import re
 import unicodedata
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference import filter_tokens, normalize_text, tokenize
+from stoplemma import freq, normalize
 from stoplemma.assess import load_mapping
 from stoplemma.corpus import load_corpus
 from stoplemma.freq import count_words, read_ranked_tsv
@@ -18,6 +25,7 @@ from stoplemma.normalize import (
     FilterPolicy,
     TokenKind,
     classify,
+    read_pairs,
     read_records,
     read_text,
     split_lines,
@@ -262,3 +270,104 @@ def test_every_loader_raises_a_plain_value_error_for_invalid_utf8(tmp_path, load
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid UTF-8 at byte offset 10") + "$") as info:
         LOADERS[loader](path)
     assert type(info.value) is ValueError
+
+
+# Two routes read a two-field record file: text as the toolkit writes it is
+# cut into columns whole, any other text goes through read_records' loop.
+# Both must give the same value, or the same error, for any text.
+READERS = {"read_ranked_tsv": read_ranked_tsv, "read_pairs": read_pairs}
+# Devanagari with NFD and precomposed nukta spellings (U+0958 is not NFC,
+# न + nukta composes to U+0929), ASCII, "#", the whitespace str.strip()
+# removes (NBSP, U+2000 which NFC maps to U+2002, \x0b, \x1c, \x85, U+2028),
+# a combining acute, the field and line separators, and a BOM
+RECORD_PIECES = ["क", "है", "क\u093c", "\u0958", "न\u093c", "\u0929", "a", "Z", "0", "7", "10", "#",
+                 "\t", " ", "\u00a0", "\u2000", "\u0301", "\x0b", "\x1c", "\x85", "\u2028", "\r", "\n", "\ufeff"]
+RECORD_TEXT = st.tuples(st.sampled_from(["", "\ufeff"]),
+                        st.lists(st.sampled_from(RECORD_PIECES), max_size=30).map("".join)).map("".join)
+# keys and values with no whitespace at either end, so that a file of them is
+# as the toolkit writes it, unless a padded line is drawn
+FIELD = st.lists(st.sampled_from(["क", "क\u093c", "\u0958", "न\u093c", "\u0929", "a", "#", " ", "\u00a0",
+                                  "\u0301"]), min_size=1, max_size=3).map("".join).map(str.strip).filter(bool)
+PAD = st.sampled_from(["", "", "", "", "", "", "", " ", "\u2000", "\x85"])
+
+
+@st.composite
+def record_files(draw):
+    """Two-field files as the toolkit writes them: a ranked list (maybe not in rank order) or a lexicon."""
+    ranked = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(FIELD, st.integers(0, 3).map(str) if ranked else FIELD), min_size=1, max_size=8))
+    if ranked and draw(st.booleans()):
+        rows.sort(key=lambda row: (-int(row[1]), unicodedata.normalize("NFC", row[0])))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(f"{draw(PAD)}{k}\t{v}\n" for k, v in rows)
+
+
+def as_written(text: str) -> bool:
+    """Whether ``text``, as ``read_text`` returns it, is two-field records as the toolkit writes them."""
+    *lines, last = text.split("\n")
+    return last == "" and all(line.count("\t") == 1 and "\r" not in line and line == line.strip()
+                              for line in lines)
+
+
+def outcome(read, path):
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+@contextlib.contextmanager
+def route(line_by_line: bool):
+    """Only the line loop runs (``line_by_line``), or the loop must not run."""
+    name, patch = ("_columns", {"return_value": None}) if line_by_line else \
+        ("_records", {"side_effect": AssertionError("the line loop ran")})
+    with mock.patch.object(normalize, name, **patch), mock.patch.object(freq, name, **patch):
+        yield
+
+
+def check_routes(path: Path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8"))
+    for read in READERS.values():
+        with route(line_by_line=True):
+            want = outcome(read, path)
+        assert outcome(read, path) == want
+        if not isinstance(want, str) and as_written(text.removeprefix("\ufeff")):
+            with route(line_by_line=False):
+                assert outcome(read, path) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=RECORD_TEXT)
+@example(text="a\t1\n a\t1\n")
+def test_any_record_text_reads_as_the_line_loop_reads_it(tmp_path_factory, text):
+    check_routes(tmp_path_factory.getbasetemp() / "any.tsv", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=record_files())
+def test_a_file_as_written_is_read_whole_and_as_the_line_loop_reads_it(tmp_path_factory, text):
+    check_routes(tmp_path_factory.getbasetemp() / "as_written.tsv", text)
+
+
+@pytest.mark.parametrize("text, valid", [
+    ("का\t5\nहै\t3\n", True),
+    ("\ufeff# note\r\n\r\n न\u093c\t5 \r\nहै\t3\r\n", True),  # CRLF, a comment, a blank, an NFD and a padded line
+    ("का\t5\nका\t3\n", False),  # a repeated item, or a conflicting value
+], ids=["as-written", "other-valid", "invalid"])
+@pytest.mark.parametrize("loader", ["read_ranked_tsv", "load_lexicon", "load_pos_lexicon"])
+def test_each_record_file_is_opened_once(tmp_path, monkeypatch, loader, text, valid):
+    path = tmp_path / "in.tsv"
+    path.write_text(text, encoding="utf-8")
+    opens, real_open = Counter(), io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opens[Path(os.fsdecode(file)).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    # open() for the builtin name, io.open for pathlib
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    with contextlib.nullcontext() if valid else pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+        LOADERS[loader](path)
+    assert opens == {path.resolve(): 1}
