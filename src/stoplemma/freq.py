@@ -14,7 +14,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import CorpusSource, Document
 from .lemma import LemmaLexicon
-from .normalize import (PLAIN_WORD, FilterPolicy, _columns, _records, classify, read_text, scan_surfaces,
+from .normalize import (PLAIN_WORD, FilterPolicy, _read_two_fields, classify, read_text, scan_surfaces,
                         write_json)
 
 # A document is read in blocks of this many bytes, so that no token list
@@ -217,18 +217,16 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
     Counts are non-negative integers in ASCII digits, within ``int()``'s
     digit limit, no item repeats and each record ranks below the one before;
     otherwise the ``ValueError`` names ``path:lineno``.  A file as ``write_tsv``
-    writes it is read by ``normalize._columns`` and checked a column at a
-    time; any other file, or one that fails a check, is read line by line,
-    which names the error.
+    writes it is checked a column at a time; any other file, or one that
+    fails a check, is read line by line, which names the error.
     """
-    text = read_text(path)
-    columns = _columns(text)
-    entries = _ranked_entries(*columns) if columns else None
-    if entries is not None:
-        return RankedList(entries=entries)
+    return RankedList(entries=_read_two_fields(path, _ranked_entries, _ranked_records))
+
+
+def _ranked_records(path: str | Path, records: Iterator[tuple[int, list[str]]]) -> tuple[tuple[str, int], ...]:
     counts: dict[str, int] = {}
     last_count, last_item = float("inf"), ""  # the record before; any first record follows it
-    for lineno, (item, count) in _records(path, text, 2):
+    for lineno, (item, count) in records:
         if not (count.isascii() and count.isdigit()):
             raise ValueError(f"{path}:{lineno}: count must be a non-negative integer, got {count!r}")
         if item in counts:
@@ -242,7 +240,7 @@ def read_ranked_tsv(path: str | Path) -> RankedList:
             raise ValueError(f"{path}:{lineno}: {item!r} is out of rank order "
                              f"(count descending, ties in codepoint order)")
         last_count, last_item = n, item
-    return RankedList(entries=tuple(counts.items()))
+    return tuple(counts.items())
 
 
 def _ranked_entries(items: list[str], counts: list[str]) -> tuple[tuple[str, int], ...] | None:

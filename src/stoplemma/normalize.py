@@ -6,12 +6,13 @@ and lexicon lookup assume NFC text: ``read_records`` normalizes each line of
 a record file, ``freq.count_document_words`` each distinct corpus token that
 ``PLAIN_WORD`` (already NFC) does not match.  Every record file and config
 file is decoded here, as UTF-8 less a leading BOM, by ``read_text``.  A
-record file takes one of two routes.  Two-field text in the form ``freq``
-writes is cut into its key and value columns whole by ``_columns``, and
-``read_pairs`` and ``freq.read_ranked_tsv`` check those columns whole; any
-other text, or columns that fail a check, goes line by line through
-``read_records``'s loop over ``split_lines``, which yields the same records
-and alone reports errors.  Corpus documents are read in blocks and
+two-field record file, read by ``read_pairs`` or ``freq.read_ranked_tsv``
+through ``_read_two_fields``, takes one of two routes.  Text in the form
+``freq`` writes is cut into its key and value columns whole by ``_columns``,
+and the reader checks those columns whole; any other text, or columns that
+fail a check, goes line by line through ``read_records``'s loop over
+``split_lines``, which yields the same records and alone reports errors.
+Corpus documents are read in blocks and
 counted as bytes by ``freq.count_document_words``, which decodes the distinct
 tokens and, for a document that is not UTF-8, raises ``read_text``'s error.
 ``write_json`` writes every JSON output.
@@ -26,7 +27,7 @@ import stat
 import unicodedata
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 # Word characters: Latin letters, ASCII digits, the Devanagari block minus
 # the danda terminators, plus ZWJ/ZWNJ which may join conjunct forms.  A
@@ -150,9 +151,12 @@ def _records(path: str | Path, text: str, fields: int) -> Iterator[tuple[int, li
 # included, ends at "\n" and is key<TAB>value, with one tab, no "\r" and
 # nothing str.strip() removes at either end (re's \s is str.isspace()).
 # Each such line is one record of read_records, whose line number is its
-# index + 1, with neither field empty.  Possessive, so no failed line
-# backtracks into the lines before it.
-_AS_WRITTEN = re.compile(r"(?:\S[^\t\n\r]*\t[^\t\n\r]*\S\n)*+")
+# index + 1, with neither field empty.  A line can match in one way only,
+# as no class in it admits "\n", so a failed match backtracks through each
+# line once and stays linear in the text.  The match holds about 70 bytes
+# of backtracking state a line until it ends; Python 3.11's possessive "*+"
+# would hold none, but 3.10 has no such quantifier.
+_AS_WRITTEN = re.compile(r"(?:\S[^\t\n\r]*\t[^\t\n\r]*\S\n)*")
 
 
 def _columns(text: str) -> tuple[list[str], list[str]] | None:
@@ -172,22 +176,41 @@ def _columns(text: str) -> tuple[list[str], list[str]] | None:
     return cells[0:-1:2], cells[1::2]
 
 
-def read_pairs(path: str | Path) -> dict[str, str]:
-    """``key -> value`` of two-field records; a key given a second, different value is an error.
+T = TypeVar("T")
 
-    Text as the toolkit writes it is read by ``_columns`` and checked whole:
-    every record must agree with the dict of all of them.  Other text, or
-    text that fails the check, is read line by line, which names the error.
+
+def _read_two_fields(path: str | Path, whole: Callable[[list[str], list[str]], T | None],
+                     by_line: Callable[[str | Path, Iterator[tuple[int, list[str]]]], T]) -> T:
+    """A two-field record file's value, from one read of ``path``.
+
+    ``whole(keys, values)`` checks the columns of text as the toolkit writes
+    it and returns the value, or None if a check fails.  Any other text, or
+    columns that fail, go to ``by_line(path, records)`` over ``read_records``'
+    loop on the same text, which names the error.
     """
     text = read_text(path)
     columns = _columns(text)
-    if columns is not None:
-        keys, values = columns
-        pairs = dict(zip(keys, values))
-        if list(map(pairs.__getitem__, keys)) == values:
-            return pairs
-    pairs = {}
-    for lineno, (key, value) in _records(path, text, 2):
+    value = None if columns is None else whole(*columns)
+    return by_line(path, _records(path, text, 2)) if value is None else value
+
+
+def read_pairs(path: str | Path) -> dict[str, str]:
+    """``key -> value`` of two-field records; a key given a second, different value is an error.
+
+    Text as the toolkit writes it is checked whole: every record must agree
+    with the dict of all of them.  Other text is read line by line.
+    """
+    return _read_two_fields(path, _column_pairs, _record_pairs)
+
+
+def _column_pairs(keys: list[str], values: list[str]) -> dict[str, str] | None:
+    pairs = dict(zip(keys, values))
+    return pairs if list(map(pairs.__getitem__, keys)) == values else None
+
+
+def _record_pairs(path: str | Path, records: Iterator[tuple[int, list[str]]]) -> dict[str, str]:
+    pairs: dict[str, str] = {}
+    for lineno, (key, value) in records:
         if pairs.setdefault(key, value) != value:
             raise ValueError(f"{path}:{lineno}: conflicting value for {key!r}: "
                              f"{pairs[key]!r} vs {value!r}")

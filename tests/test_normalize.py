@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference import filter_tokens, normalize_text, tokenize
-from stoplemma import freq, normalize
+from stoplemma import normalize
 from stoplemma.assess import load_mapping
 from stoplemma.corpus import load_corpus
 from stoplemma.freq import count_words, read_ranked_tsv
@@ -321,7 +321,7 @@ def route(line_by_line: bool):
     """Only the line loop runs (``line_by_line``), or the loop must not run."""
     name, patch = ("_columns", {"return_value": None}) if line_by_line else \
         ("_records", {"side_effect": AssertionError("the line loop ran")})
-    with mock.patch.object(normalize, name, **patch), mock.patch.object(freq, name, **patch):
+    with mock.patch.object(normalize, name, **patch):
         yield
 
 
